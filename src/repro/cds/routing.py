@@ -127,18 +127,18 @@ class HeadRouter:
     def inherit_from(
         self,
         old: "HeadRouter",
-        removed: NodeId | None = None,
         changed_heads: frozenset[NodeId] = frozenset(),
     ) -> dict[str, int]:
         """Seed caches from ``old`` after the backbone was repaired/rebuilt.
 
-        The same contract :meth:`LazyDistanceOracle.inherit_from`
+        The same contract
+        :meth:`~repro.net.oracle.LazyDistanceOracle.inherit_edge_delta`
         implements for rows/balls: every carried entry is *verified*
         still-valid against the new backbone, everything else rebuilds
         lazily on demand.  Validity is purely structural (the weighted
-        head graphs and stored link paths are compared), so the method
-        serves node removals and mobility edge deltas alike —
-        ``removed`` only documents intent and may be omitted.
+        head graphs and stored link paths are compared), so the one
+        method serves node removals, arrivals and mobility edge deltas
+        alike.
 
         * **link segments** carry over for links that are still selected
           with an identical stored gateway path;
@@ -171,7 +171,6 @@ class HeadRouter:
         / ``segments`` / ``head_graph_unchanged``) for maintenance
         reporting.
         """
-        del removed  # validity is structural; the id only documents intent
         changed = {int(h) for h in changed_heads}
         stats = {
             "trees": 0,

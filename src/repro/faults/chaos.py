@@ -158,10 +158,9 @@ def run_chaos(
             0 (the default) reproduces the pre-growth campaigns
             bit-for-bit, > 0 interleaves grow+shrink+rewire.  Arrivals
             resize the per-batch workload/loss model to the current
-            node count; the inherited-vs-fresh walk check inherits
-            join-only batches through the node-add path and skips
-            batches that mix growth with link changes (no single
-            inheritance certificate covers both at once).
+            node count.  Every batch — growth, crashes and link changes
+            mixed — is one edge delta to the inherited-vs-fresh walk
+            check.
         n / degree: chaos topology size and target mean degree.
         k: cluster radius.
         algorithm: backbone pipeline (localized only — the campaign
@@ -219,7 +218,6 @@ def run_chaos(
             if not batch:
                 continue
             with span("batch", epoch=epoch, events=len(batch)):
-                batch_kinds = {ev.kind for ev in batch}
                 state.apply_batch(batch)
                 report.events_applied += len(batch)
                 graph = state.graph
@@ -283,18 +281,13 @@ def run_chaos(
                 router = BatchRouter(backbone)
 
                 # 3 — inherited caches route identically to a cold router.
-                # Join-only batches inherit through the node-add path;
-                # batches mixing growth with link changes have no single
-                # inheritance certificate and skip the check.
+                # Every batch — crashes, arrivals, link changes, or any
+                # mix — is one edge delta to the inheritance certificate.
                 inherited: Optional[BatchRouter] = None
                 if prev_router is not None and sub.num_flows:
-                    if batch_kinds == {"join"}:
-                        inherited = BatchRouter(backbone)
-                        inherited.inherit_node_add(prev_router)
-                    elif "join" not in batch_kinds:
-                        touched = {x for e in prev_edges ^ realized for x in e}
-                        inherited = BatchRouter(backbone)
-                        inherited.inherit_edge_delta(prev_router, touched)
+                    touched = {x for e in prev_edges ^ realized for x in e}
+                    inherited = BatchRouter(backbone)
+                    inherited.inherit_edge_delta(prev_router, touched)
                 if inherited is not None:
                     take = min(sample, sub.num_flows)
                     probe = Workload(

@@ -17,11 +17,12 @@ epoch-ordered schedule, and identical seeds always yield identical event
 streams (the determinism tests assert this bit-for-bit).
 
 Compilation happens in :class:`FaultState`, which folds an event batch
-into the engine's existing incremental machinery — single crashes go
-through :meth:`~repro.net.graph.Graph.without_nodes` (CSR patch + oracle
-cache inheritance) and all link changes through one
-:meth:`~repro.net.graph.Graph.with_edge_delta` call — so every
-cache-inheritance layer is exercised under fire.  Overlapping outages
+into the engine's existing incremental machinery — crashes through
+:meth:`~repro.net.graph.Graph.without_nodes`, arrivals through
+:meth:`~repro.net.graph.Graph.with_nodes` and all link changes through
+one :meth:`~repro.net.graph.Graph.with_edge_delta` call, each an edge
+delta to the caches — so every cache-inheritance layer is exercised
+under fire.  Overlapping outages
 (two jams covering the same link, a flap inside a jam) are reference
 counted: a link comes back only when *every* outage holding it down has
 ended, and never while an endpoint is dead.
@@ -565,8 +566,8 @@ class FaultState:
 
         Crashes are applied one node at a time through
         :meth:`~repro.net.graph.Graph.without_nodes` and arrivals
-        through :meth:`~repro.net.graph.Graph.with_nodes` (both
-        incremental CSR-patch + oracle-inheritance paths); all link
+        through :meth:`~repro.net.graph.Graph.with_nodes` (both edge
+        deltas with CSR patching and oracle inheritance); all link
         changes in the batch collapse into a single
         :meth:`~repro.net.graph.Graph.with_edge_delta` call.
         """

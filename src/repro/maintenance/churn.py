@@ -11,8 +11,8 @@ independent single-failure experiments (those live in the maintenance
 benchmark).
 
 :func:`simulate_churn` rides the incremental machinery end to end: each
-removal takes :meth:`Graph.without_nodes`'s single-node fast path (CSR
-patch + oracle cache inheritance), member failures splice the existing
+removal is an edge delta through :meth:`Graph.without_nodes` (CSR patch +
+oracle cache inheritance), member failures splice the existing
 backbone instead of rebuilding it, and validation runs on per-head balls
 that mostly survive from the previous failure's cache.
 :func:`simulate_churn_rebuild` is the from-scratch baseline — rebuild

@@ -354,7 +354,7 @@ def ensure_survivors_connected(graph: Graph, gone: set[NodeId]) -> None:
         # The component payload needs the dead nodes actually isolated —
         # on the caller's graph they may still be wired in, which would
         # merge components straight through the failure.
-        reduced = graph.without_nodes(sorted(gone)) if gone else graph
+        reduced = graph.without_nodes(gone)
         comps = _surviving_components(reduced, gone)
         raise PartitionError(
             f"survivor graph has {len(comps)} components "
@@ -497,8 +497,8 @@ def _repair_ladder(backbone: BackboneResult, node: NodeId) -> RepairOutcome:
             partitioned=True,
             backbone=None,
         )
-    # Single-node fast path: patches CSR arrays and inherits the parent
-    # oracle's still-valid cached rows/balls.
+    # An edge delta: patches CSR arrays and inherits the parent oracle's
+    # still-valid cached rows/balls.
     graph2 = graph.without_nodes([node])
 
     # --- rungs 1 & 2: keep the clustering, maybe re-run gateways -------- #

@@ -28,22 +28,21 @@ Design notes
 ------------
 * Nodes are dense integers ``0..n-1``; the paper's "lowest ID" priority is
   the natural integer order on these.
-* The graph is immutable.  Maintenance operations (node failure, §3.3 of the
-  paper) produce *new* graphs via :meth:`Graph.without_nodes`, which keeps
-  the original node numbering so results remain comparable.  Oracles are
-  caches over the immutable structure, so backend switches are safe — and
-  single-node removals patch the CSR arrays and carry still-valid cached
-  rows/balls into the derived graph's oracle instead of recomputing.
-* Mobility (nodes that move rather than disappear) produces new graphs via
-  :meth:`Graph.with_edge_delta`: successive unit-disk snapshots differ by a
-  few edges, so the CSR arrays are patched only around the changed edges'
-  endpoints and oracle caches inherit under the edge-delta valid-prefix
-  rules (:meth:`~repro.net.oracle.LazyDistanceOracle.inherit_edge_delta`).
-* Node arrivals (the long-lived service's growth path) produce new graphs
-  via :meth:`Graph.with_nodes`: new nodes append at the next IDs, CSR rows
-  for them are appended while only the attachment endpoints' slices are
-  rewritten, and oracle caches carry over under the decrease-only
-  node-add rules (:meth:`~repro.net.oracle.LazyDistanceOracle.inherit_node_add`).
+* The graph is immutable, and every mutation produces a *new* graph
+  through one path, :meth:`Graph.with_edge_delta`: the sorted edge tuple
+  is spliced, the adjacency and CSR arrays are patched only around the
+  changed edges' endpoints, and lazy-family oracle caches inherit through
+  :meth:`~repro.net.oracle.LazyDistanceOracle.inherit_edge_delta`.
+  Oracles are caches over the immutable structure, so backend switches
+  are safe.
+* Node failure (§3.3 of the paper) is the delta that drops every incident
+  edge: :meth:`Graph.without_nodes` keeps the original node numbering and
+  leaves the failed nodes isolated, so results remain comparable.
+  Mobility (nodes that move rather than disappear) is a snapshot diff.
+* Node arrivals (the long-lived service's growth path) take the next IDs:
+  :meth:`Graph.with_nodes` pads the graph with isolated nodes (empty
+  adjacency and CSR rows, cached rows padded with :data:`UNREACHABLE`),
+  then adds the attachment edges as an ordinary delta.
 * All backends use the int32 :data:`UNREACHABLE` sentinel and refuse
   graphs beyond :data:`~repro.net.oracle.MAX_ORACLE_NODES` nodes rather
   than silently overflowing hop distances (the seed's int16 ceiling of
@@ -52,8 +51,10 @@ Design notes
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from contextlib import contextmanager
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -402,65 +403,28 @@ class Graph:
         """Copy of the graph with ``removed`` nodes isolated (edges dropped).
 
         Node numbering is preserved so that clusterings computed before and
-        after a failure are directly comparable (§3.3 maintenance).  The
-        copy inherits the default distance backend.
-
-        Single-node removals — the churn/repair hot path — take a fast
-        incremental route: adjacency and CSR arrays are patched instead of
-        rebuilt from the edge list, and any lazy-family oracle caches are
-        carried over minus the entries the removal invalidates (see
-        :meth:`~repro.net.oracle.LazyDistanceOracle.inherit_from`).
+        after a failure are directly comparable (§3.3 maintenance).  A
+        removal is the edge delta that drops every incident edge, so it
+        runs through :meth:`with_edge_delta` for any number of nodes (CSR
+        patch plus cache inheritance); removing already-isolated nodes is
+        an empty delta and returns ``self``.
         """
-        gone = {int(u) for u in removed}
+        gone = sorted({int(u) for u in removed})
         for u in gone:
             if not (0 <= u < self._n):
                 raise InvalidParameterError(f"node {u} out of range")
-        if len(gone) == 1:
-            return self._without_single_node(next(iter(gone)))
-        keep = [e for e in self._edges if e[0] not in gone and e[1] not in gone]
-        g = Graph(self._n, keep)
-        g._backend = self._backend
-        return g
+        return self.with_edge_delta(
+            removed=[(u, v) for u in gone for v in self._adj[u]]
+        )
 
-    def _without_single_node(self, x: NodeId) -> "Graph":
-        """Incremental single-node removal: patch arrays, inherit caches."""
-        g = Graph.__new__(Graph)
-        g._n = self._n
-        g._edges = tuple(e for e in self._edges if e[0] != x and e[1] != x)
-        adj = list(self._adj)
-        for v in self._adj[x]:
-            adj[v] = tuple(w for w in adj[v] if w != x)
-        adj[x] = ()
-        g._adj = tuple(adj)
-        g._oracles = {}
-        g._backend = self._backend
-        if "csr_adjacency" in self.__dict__:
-            # Patch the parent's CSR arrays: drop x's own slice and every
-            # occurrence of x in its neighbors' slices; no O(m log m)
-            # rebuild from the python adjacency.
-            indptr, indices = self.csr_adjacency
-            keep_mask = indices != x
-            keep_mask[indptr[x] : indptr[x + 1]] = False
-            new_indices = indices[keep_mask]
-            degs = np.diff(indptr).copy()
-            degs[x] = 0
-            degs[list(self._adj[x])] -= 1
-            new_indptr = np.zeros(self._n + 1, dtype=np.int64)
-            np.cumsum(degs, out=new_indptr[1:])
-            new_indptr.setflags(write=False)
-            new_indices.setflags(write=False)
-            g.__dict__["csr_adjacency"] = (new_indptr, new_indices)
-        # Incremental oracle maintenance: seed each lazy-family backend
-        # with the parent's still-valid cached rows and balls.
-        self._inherit_lazy_oracles(g, lambda child, parent: child.inherit_from(parent, x))
-        return g
+    def _inherit_lazy_oracles(
+        self, g: "Graph", added: Sequence[Edge], removed: Sequence[Edge]
+    ) -> None:
+        """Derive ``g``'s lazy-family oracles from this graph's.
 
-    def _inherit_lazy_oracles(self, g: "Graph", inherit) -> None:
-        """Derive ``g``'s lazy-family oracles from this graph's via ``inherit``.
-
-        ``inherit(child, parent)`` seeds the freshly constructed child
-        oracle (same class and cache budgets as the parent) with whatever
-        of the parent's caches survives the structural change.  Dense
+        Each child oracle (same class and cache budgets as its parent) is
+        seeded by :meth:`~repro.net.oracle.LazyDistanceOracle.inherit_edge_delta`
+        with whatever of the parent's caches survives the delta.  Dense
         oracles are never carried (their matrix is monolithic).
         """
         from .oracle import LazyDistanceOracle
@@ -472,8 +436,19 @@ class Graph:
                     row_cache_bytes=parent._rows.budget,
                     ball_cache_bytes=parent._balls.budget,
                 )
-                inherit(child, parent)
+                child.inherit_edge_delta(parent, added, removed)
                 g._oracles[name] = child
+
+    def _checked_edges(
+        self, edges: Iterable[tuple[NodeId, NodeId]]
+    ) -> set[Edge]:
+        out: set[Edge] = set()
+        for u, v in edges:
+            e = normalize_edge(int(u), int(v))
+            if not (0 <= e[0] < self._n and 0 <= e[1] < self._n):
+                raise InvalidParameterError(f"edge {e} out of range for n={self._n}")
+            out.add(e)
+        return out
 
     def with_edge_delta(
         self,
@@ -482,13 +457,14 @@ class Graph:
     ) -> "Graph":
         """Copy of the graph with ``added`` edges inserted and ``removed`` dropped.
 
-        The mobility hot path (§3.3 "nodes that move away"): successive
-        RandomWaypoint unit-disk snapshots differ by a handful of edges
-        while every node persists.  Instead of rebuilding from the full
-        edge list, the adjacency and CSR arrays are patched only for the
-        *touched* nodes (endpoints of changed edges), and every
-        lazy-family oracle carries its still-valid cached rows, partial
-        rows and balls into the derived graph via
+        The one mutation that carries caches: mobility snapshots, link
+        faults, node removals (:meth:`without_nodes`) and the attach step
+        of node arrivals (:meth:`with_nodes`) all arrive here.  Instead
+        of rebuilding from the full edge list, the sorted edge tuple is
+        spliced at the changed positions, the adjacency and CSR arrays
+        are patched only for the *touched* nodes (endpoints of changed
+        edges), and every lazy-family oracle carries its still-valid
+        cached rows, partial rows and balls into the derived graph via
         :meth:`~repro.net.oracle.LazyDistanceOracle.inherit_edge_delta`.
 
         Already-present ``added`` edges and absent ``removed`` edges are
@@ -496,32 +472,34 @@ class Graph:
         both sets raises.  An empty *effective* delta returns ``self``
         (graphs are immutable, so sharing is safe).
         """
-        add: set[Edge] = set()
-        for u, v in added:
-            e = normalize_edge(int(u), int(v))
-            if not (0 <= e[0] < self._n and 0 <= e[1] < self._n):
-                raise InvalidParameterError(f"edge {e} out of range for n={self._n}")
-            add.add(e)
-        rem: set[Edge] = set()
-        for u, v in removed:
-            e = normalize_edge(int(u), int(v))
-            if not (0 <= e[0] < self._n and 0 <= e[1] < self._n):
-                raise InvalidParameterError(f"edge {e} out of range for n={self._n}")
-            rem.add(e)
+        add = self._checked_edges(added)
+        rem = self._checked_edges(removed)
         overlap = add & rem
         if overlap:
             raise InvalidParameterError(
                 f"edges both added and removed: {sorted(overlap)[:3]}"
             )
-        cur = set(self._edges)
-        add -= cur
-        rem &= cur
+        add = {e for e in add if not self.has_edge(*e)}
+        rem = {e for e in rem if self.has_edge(*e)}
         if not add and not rem:
             return self
+        # Splice the sorted edge tuple: O(delta log m) bisects plus
+        # contiguous slice copies, never a re-sort of all m edges.
+        parts: list[tuple[Edge, ...]] = []
+        prev = 0
+        for e in sorted(add | rem):
+            i = bisect_left(self._edges, e, prev)
+            parts.append(self._edges[prev:i])
+            if e in add:
+                parts.append((e,))
+                prev = i
+            else:
+                prev = i + 1
+        parts.append(self._edges[prev:])
         touched = sorted({x for e in add for x in e} | {x for e in rem for x in e})
         g = Graph.__new__(Graph)
         g._n = self._n
-        g._edges = tuple(sorted((cur - rem) | add))
+        g._edges = tuple(chain.from_iterable(parts))
         adj = list(self._adj)
         patch: dict[int, set[int]] = {t: set(self._adj[t]) for t in touched}
         for u, v in rem:
@@ -537,13 +515,7 @@ class Graph:
         g._backend = self._backend
         if "csr_adjacency" in self.__dict__:
             g.__dict__["csr_adjacency"] = self._patched_csr(g._adj, touched)
-        add_list, rem_list = sorted(add), sorted(rem)
-        self._inherit_lazy_oracles(
-            g,
-            lambda child, parent: child.inherit_edge_delta(
-                parent, add_list, rem_list
-            ),
-        )
+        self._inherit_lazy_oracles(g, sorted(add), sorted(rem))
         return g
 
     def _patched_csr(
@@ -593,22 +565,20 @@ class Graph:
         Every attachment edge must touch at least one *new* node; a delta
         purely among existing nodes is :meth:`with_edge_delta`'s job.
 
-        Like the other derived-graph hot paths, adjacency and CSR arrays
-        are patched rather than rebuilt — new CSR rows are appended and
-        only the old attachment endpoints' slices are rewritten — and
-        every lazy-family oracle carries its cached rows, partial rows
-        and balls into the grown graph via
-        :meth:`~repro.net.oracle.LazyDistanceOracle.inherit_node_add`
-        (arrivals only ever *decrease* distances, so carried rows are
-        padded and Dial-relaxed instead of recomputed).
+        An arrival is two steps.  The *pad* step appends the new nodes
+        isolated: empty adjacency and CSR rows, and every lazy-family
+        oracle's cached and partial rows padded with
+        :data:`UNREACHABLE` (exact — isolated nodes are unreachable and
+        join no ball).  The attachment edges then arrive as an ordinary
+        :meth:`with_edge_delta`.
 
-        ``inherit_oracles=False`` skips that carry and starts the grown
-        graph with empty oracle caches.  Relaxing every cached row costs
-        O(cache) *per arrival*; a long-lived growth loop that admits
-        thousands of nodes between queries pays O(cache x arrivals) to
-        preserve rows it could rebuild once, on demand, at the next
-        query batch.  Dropping caches never changes results — the
-        oracles are exact and rebuild lazily.
+        ``inherit_oracles=False`` skips the carry and starts the grown
+        graph with empty oracle caches.  Carrying costs O(cache) *per
+        arrival*; a long-lived growth loop that admits thousands of nodes
+        between queries pays O(cache x arrivals) to preserve rows it
+        could rebuild once, on demand, at the next query batch.  Dropping
+        caches never changes results — the oracles are exact and rebuild
+        lazily.
 
         ``count == 0`` with no edges returns ``self`` (graphs are
         immutable, so sharing is safe).
@@ -631,74 +601,21 @@ class Graph:
             add.add(e)
         if count == 0:
             return self
-        added = sorted(add)
         g = Graph.__new__(Graph)
         g._n = new_n
-        # Both operands are sorted runs, so timsort merges in O(m).
-        g._edges = tuple(sorted(self._edges + tuple(added)))
-        adj: list[tuple[int, ...]] = list(self._adj) + [()] * count
-        patch: dict[int, set[int]] = {}
-        for u, v in added:
-            patch.setdefault(u, set(adj[u])).add(v)
-            patch.setdefault(v, set(adj[v])).add(u)
-        for t, nbrs in patch.items():
-            adj[t] = tuple(sorted(nbrs))
-        g._adj = tuple(adj)
+        g._edges = self._edges
+        g._adj = self._adj + ((),) * count
         g._oracles = {}
         g._backend = self._backend
         if "csr_adjacency" in self.__dict__:
-            touched_old = sorted(t for t in patch if t < self._n)
-            g.__dict__["csr_adjacency"] = self._grown_csr(
-                g._adj, touched_old, new_n
-            )
+            indptr, indices = self.csr_adjacency
+            tail = np.full(count, indptr[-1], dtype=np.int64)
+            padded = np.concatenate([indptr, tail])
+            padded.setflags(write=False)
+            g.__dict__["csr_adjacency"] = (padded, indices)
         if inherit_oracles:
-            self._inherit_lazy_oracles(
-                g, lambda child, parent: child.inherit_node_add(parent, added)
-            )
-        return g
-
-    def _grown_csr(
-        self,
-        new_adj: Sequence[tuple[int, ...]],
-        touched_old: Sequence[int],
-        new_n: int,
-    ) -> tuple[IndexArray, IndexArray]:
-        """CSR arrays for a grown graph, reusing this graph's cached CSR.
-
-        Same contract as :meth:`_patched_csr`, plus appended rows for the
-        new node IDs ``self.n .. new_n-1``: untouched old spans are copied
-        contiguously, only the old attachment endpoints' slices are
-        rewritten, and the new nodes' slices land at the tail.
-        """
-        indptr, indices = self.csr_adjacency
-        new_degs = np.zeros(new_n, dtype=np.int64)
-        if self._n:
-            new_degs[: self._n] = np.diff(indptr)
-        for t in touched_old:
-            new_degs[t] = len(new_adj[t])
-        for x in range(self._n, new_n):
-            new_degs[x] = len(new_adj[x])
-        new_indptr = np.zeros(new_n + 1, dtype=np.int64)
-        np.cumsum(new_degs, out=new_indptr[1:])
-        new_indices = np.empty(int(new_indptr[-1]), dtype=np.int64)
-        prev = 0
-        for t in [*touched_old, self._n]:
-            if t > prev:  # contiguous untouched span [prev, t)
-                new_indices[new_indptr[prev] : new_indptr[t]] = indices[
-                    indptr[prev] : indptr[t]
-                ]
-            if t < self._n:
-                new_indices[new_indptr[t] : new_indptr[t + 1]] = np.asarray(
-                    new_adj[t], dtype=np.int64
-                )
-            prev = t + 1
-        for x in range(self._n, new_n):
-            new_indices[new_indptr[x] : new_indptr[x + 1]] = np.asarray(
-                new_adj[x], dtype=np.int64
-            )
-        new_indptr.setflags(write=False)
-        new_indices.setflags(write=False)
-        return new_indptr, new_indices
+            self._inherit_lazy_oracles(g, (), ())
+        return g.with_edge_delta(added=add)
 
     def with_edges(self, extra: Iterable[tuple[NodeId, NodeId]]) -> "Graph":
         """Copy of the graph with additional edges."""

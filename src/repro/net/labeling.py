@@ -33,20 +33,14 @@ landmark backend to ``N >= 10^4`` graphs (a full N=10^4 unit-disk build
 is part of ``make bench-pipeline``); memory during construction is
 O(n · max label length) for the padded arrays.
 
-Under single-node churn the labels are discarded (a removed node may have
-carried shortest paths the labels encode) while cached rows/balls are
-inherited through the usual lazy-oracle rules; labels rebuild lazily on
-the next pair query.  Mobility edge deltas (:meth:`Graph.with_edge_delta`)
-behave the same way: the derived oracle is constructed label-cold — a
-label certifies arbitrary pairs, so no per-pair validity rule survives a
-delta cheaply — but every certified/patched row and surviving ball
-arrives through :meth:`LazyDistanceOracle.inherit_edge_delta`, and
+Every graph mutation — failure, motion or arrival — reaches the oracle
+as an edge delta (:meth:`Graph.with_edge_delta`), and the derived oracle
+is constructed label-cold: a label certifies arbitrary pairs, so no
+per-pair validity rule survives a delta cheaply.  Cached rows and balls
+still arrive through :meth:`LazyDistanceOracle.inherit_edge_delta`, and
 ``distance`` prefers a resident row over a label join, so the inherited
-cache keeps answering most pair queries until the labels rebuild.
-Node arrivals (:meth:`Graph.with_nodes`) follow the same label-cold rule
-with one exact exception: a *pendant* arrival augments the parent labels
-in O(|label(u)|) instead of dropping them — see
-:meth:`LandmarkDistanceOracle.inherit_node_add`.
+cache keeps answering most pair queries until the labels rebuild lazily
+on the next one.
 """
 
 from __future__ import annotations
@@ -298,57 +292,6 @@ class LandmarkDistanceOracle(LazyDistanceOracle):
         """The ``count`` highest-ranked landmark node IDs (degree order)."""
         self._ensure_labels()
         return tuple(int(x) for x in self._landmark_order[:count])
-
-    # -- incremental maintenance ----------------------------------------- #
-
-    def inherit_node_add(
-        self,
-        parent: LazyDistanceOracle,
-        added: Sequence[tuple[int, int]],
-    ) -> None:
-        """Node-add inheritance with pendant label augmentation.
-
-        Rows, partial rows and balls carry through
-        :meth:`LazyDistanceOracle.inherit_node_add`.  Labels normally
-        drop (an arrival can shorten pair distances the labels encode,
-        and no per-pair validity rule survives that cheaply) — with one
-        exact exception worth keeping: a **pendant** arrival, a single
-        new node attached by exactly one edge to one old node ``u``.  A
-        pendant cannot shorten any old pair (every path through it
-        re-enters via ``u``), so the parent labels stay exact, and the
-        new node's label is ``u``'s with every hub distance increased by
-        one — the join then answers ``d(x, t) = d(u, t) + 1`` exactly
-        (``d(x, u) = 1`` lands via ``u``'s self-hub).  Denser arrivals
-        construct label-cold and rebuild on the next pair query, exactly
-        like churn and mobility.
-        """
-        super().inherit_node_add(parent, added)
-        if not isinstance(parent, LandmarkDistanceOracle):
-            return
-        if parent._label_ranks is None or parent._label_dists is None:
-            return
-        old_n = parent.graph.n
-        pendant = (
-            len(added) == 1
-            and self._graph.n == old_n + 1
-            and min(added[0]) < old_n <= max(added[0])
-        )
-        if not pendant:
-            return
-        u = int(min(added[0]))
-        self._label_ranks = list(parent._label_ranks) + [
-            parent._label_ranks[u].copy()
-        ]
-        self._label_dists = list(parent._label_dists) + [
-            (parent._label_dists[u] + np.asarray(1, dtype=DIST_DTYPE)).astype(
-                DIST_DTYPE
-            )
-        ]
-        self._landmark_order = parent._landmark_order
-        self._label_entries = parent._label_entries + int(
-            parent._label_ranks[u].size
-        )
-        obs_counter("oracle.labels_augmented").add()
 
     # -- pair queries ---------------------------------------------------- #
 

@@ -43,50 +43,36 @@ the previous int16 ceiling of 32766 nodes to :data:`MAX_ORACLE_NODES`
 
 Incremental maintenance
 -----------------------
-:meth:`Graph.without_nodes` (single-node removals, the churn/repair hot
-path) derives the child graph's oracle from the parent's via
-:meth:`LazyDistanceOracle.inherit_from`: cached rows whose source could
-not reach the removed node, and cached balls that do not contain it, stay
-valid and are carried over instead of recomputed; balls containing the
-removed node exactly on their boundary are patched by dropping that one
-entry.  Invalidated rows are carried over *partially*: entries at
-distance ``<= d(source, removed)`` are provably exact, so the row is
-kept with that valid-prefix radius and completed on demand by resuming
-the BFS from the radius-level frontier instead of starting over.
-``OracleStats.rows_inherited`` / ``balls_inherited`` /
-``rows_partial_inherited`` / ``rows_reexpanded`` count the carried and
-resumed entries.
+Every graph mutation reaches the oracle as one edge delta:
+:meth:`Graph.with_edge_delta` for mobility snapshots and link faults,
+:meth:`Graph.without_nodes` for failures (every incident edge removed),
+and :meth:`Graph.with_nodes` for arrivals (a pad step that appends
+isolated nodes, then the attachment edges as a delta).  The child oracle
+inherits through one certificate,
+:meth:`LazyDistanceOracle.inherit_edge_delta`, which picks one of three
+rungs per cached row:
 
-:meth:`Graph.with_edge_delta` (mobility: a few edges appear *and*
-disappear per snapshot while every node persists) inherits through
-:meth:`LazyDistanceOracle.inherit_edge_delta` as a batched **dynamic-BFS
-update** over every cached row at once.  A cheap endpoint pre-filter
-carries rows the delta provably cannot touch (no added edge spanning
-levels two apart, no removed edge spanning adjacent levels) verbatim;
-the rest advance through the two halves of the classic update — the
-orphan cascade (:meth:`~LazyDistanceOracle._settle_removals`: nodes whose
-every shortest-path parent died reset to the sentinel, everything else
-provably exact) and Dial-style decrease propagation
-(:meth:`~LazyDistanceOracle._relax_rows`: added-edge shortcuts and
-orphan-boundary repairs settle each affected ``(row, node)`` pair once,
-in ascending distance order) — landing in the child cache as *exact*
-full rows.  Untouched rows are recorded as
-:attr:`~LazyDistanceOracle.delta_certified_sources`; rows whose delta
-footprint exceeds
-:data:`DELTA_PATCH_SEED_BUDGET` fall back to a valid-prefix partial
-(entries at distance ``<= m(s)``, the distance to the nearest changed
-endpoint, stay exact) and recompute through the bit-packed kernel
-instead.  A cached ball ``(s, r)`` survives iff every touched node sits
-at distance ``>= r`` from ``s`` — absent from the ball or exactly on its
-boundary.
+* **verbatim** — a cheap endpoint pre-filter proves the delta cannot
+  touch the row (no added edge spanning levels two apart, no removed
+  edge spanning adjacent levels); recorded as
+  :attr:`~LazyDistanceOracle.delta_certified_sources`;
+* **patched** — a batched dynamic-BFS update over every affected row at
+  once: the orphan cascade (:meth:`~LazyDistanceOracle._settle_removals`)
+  then Dial-style decrease propagation
+  (:meth:`~LazyDistanceOracle._relax_rows`), landing as exact full rows;
+* **valid prefix** — entries at distance ``<= m``, the distance to the
+  nearest changed endpoint, stay exact, so the row is kept as a pending
+  partial and completed on demand by resuming BFS from its radius-``m``
+  frontier.  Rows that reach a node the delta cuts off (a failure's
+  victim) take this rung, as do rows whose patch footprint exceeds
+  :data:`DELTA_PATCH_SEED_BUDGET`.
 
-:meth:`Graph.with_nodes` (node arrivals, the long-lived service's growth
-path) inherits through :meth:`LazyDistanceOracle.inherit_node_add` — the
-pure *decrease* half of the same update: every old path survives, so
-cached rows are padded to the grown length and Dial-relaxed from the
-attachment endpoints (no orphan cascade exists), landing as exact full
-child rows; balls survive under the same boundary rule against the old
-attachment endpoints.
+Cached balls survive unless a change reaches their interior; a boundary
+node that loses its last parent is dropped from the ball.  Pending
+partial rows count toward ``cached_bytes`` and are capped at one row
+budget.  ``OracleStats.rows_inherited`` / ``rows_patched`` /
+``rows_partial_inherited`` / ``rows_reexpanded`` / ``balls_inherited``
+count the carried and resumed entries.
 """
 
 from __future__ import annotations
@@ -167,12 +153,12 @@ class OracleStats:
         ball_hits: ball queries answered from cache (or from a cached row).
         cached_bytes: bytes currently held by this oracle's caches.
         peak_cached_bytes: high-water mark of ``cached_bytes``.
-        rows_inherited: rows carried over from a parent oracle after a
-            single-node removal (incremental maintenance).
+        rows_inherited: rows carried over from a parent oracle by the
+            edge-delta inheritance (verbatim or patched).
         balls_inherited: balls carried over (possibly boundary-patched).
-        rows_partial_inherited: rows whose prefix (entries at distance
-            <= d(source, removed)) was carried over for lazy depth-limited
-            re-expansion instead of being discarded.
+        rows_partial_inherited: rows whose valid prefix (entries at
+            distance <= that of the nearest changed endpoint) was carried
+            over for lazy re-expansion instead of being discarded.
         rows_patched: rows carried across an edge delta by exact
             decrease-propagation patching (removals certified harmless,
             added shortcuts applied in place).
@@ -193,8 +179,8 @@ class OracleStats:
             lineage_row_hits`` equals every ``row()``-path query the
             chain ever answered.
         lineage_inherits: inheritance hops behind this oracle (0 for a
-            fresh oracle, parents' count + 1 after ``inherit_from`` /
-            ``inherit_edge_delta``).
+            fresh oracle, parent's count + 1 after ``inherit_edge_delta``;
+            an arrival that carries caches is two hops, pad then attach).
     """
 
     backend: str
@@ -786,18 +772,26 @@ class LazyDistanceOracle(DistanceOracle):
         # inherits) over every ancestor oracle — see _carry_lineage.
         self._lineage = (0, 0, 0, 0, 0)
         self._peak_bytes = 0
-        # source -> (stale parent row, valid-prefix radius, removed nodes):
-        # rows invalidated by a removal but salvageable — entries at
-        # distance <= radius stay exact — pending lazy re-expansion.
-        self._partial_rows: dict[int, tuple[np.ndarray, int, tuple[int, ...]]] = {}
+        # source -> (stale row, valid-prefix radius): rows a delta
+        # invalidated but left salvageable — entries at distance <= radius
+        # stay exact — pending lazy re-expansion.
+        self._partial_rows: dict[int, tuple[np.ndarray, int]] = {}
         # Sources proven distance-identical by the last edge-delta
         # inheritance (see delta_certified_sources).
         self._delta_certified: frozenset[int] = frozenset()
 
     # -- caching helpers ----------------------------------------------- #
 
+    def _row_nbytes(self) -> int:
+        return max(1, self._graph.n * np.dtype(DIST_DTYPE).itemsize)
+
+    def _cached_bytes(self) -> int:
+        """Bytes held: LRU rows and balls plus pending partial rows."""
+        partial = len(self._partial_rows) * self._row_nbytes()
+        return self._rows.nbytes + self._balls.nbytes + partial
+
     def _note_peak(self) -> None:
-        total = self._rows.nbytes + self._balls.nbytes
+        total = self._cached_bytes()
         if total > self._peak_bytes:
             self._peak_bytes = total
 
@@ -843,83 +837,16 @@ class LazyDistanceOracle(DistanceOracle):
         self._rows_reexpanded = 0
         self._batched_sweeps = 0
 
-    def inherit_from(self, parent: "LazyDistanceOracle", removed: int) -> None:
-        """Seed caches from ``parent`` after ``removed`` lost its edges.
-
-        Removal only ever *increases* distances, and a shortest path's
-        interior nodes sit strictly closer to the source than its
-        endpoint, so:
-
-        * a cached **row** from ``s`` stays valid iff ``removed`` was
-          unreachable from ``s`` (nothing in ``s``'s component changed);
-        * an invalidated row is still *partially* valid: a shortest
-          path's interior nodes sit strictly closer to the source than
-          its endpoint, so entries at distance ``<= d(s, removed)``
-          cannot route through ``removed`` and stay exact.  Such rows
-          are kept aside with their valid-prefix radius and completed
-          lazily — :meth:`row` resumes a level-synchronous BFS from the
-          radius-level frontier instead of recomputing from scratch
-          (every node beyond the prefix adjoins only frontier-or-deeper
-          nodes, so the resumed sweep is exhaustive);
-        * a cached **ball** ``(s, r)`` stays valid iff ``removed`` was
-          outside it; if ``removed`` sat exactly on the boundary
-          (distance == r) the ball is patched by dropping that single
-          entry — no interior of a witnessing path can pass through a
-          boundary node.
-
-        Everything else is dropped and will be recomputed on demand.
-        """
-        self._carry_lineage(parent)
-        row_seed = []
-        for src, row in parent._rows.items():
-            d_rm = int(row[removed])
-            if d_rm >= UNREACHABLE:
-                row_seed.append((src, row, row.nbytes))
-            elif d_rm > 0:
-                self._partial_rows[src] = (row, d_rm, (removed,))
-        # Parent partials chain: a second removal inside the valid prefix
-        # shrinks the radius to its (still-exact) distance; outside it,
-        # the stored value is only a lower bound >= radius, so the prefix
-        # is untouched either way.
-        for src, (row, radius, chain) in parent._partial_rows.items():
-            if src == removed or src in self._partial_rows:
-                continue
-            d_rm = int(row[removed])
-            new_radius = min(radius, d_rm)
-            if new_radius > 0:
-                self._partial_rows[src] = (row, new_radius, chain + (removed,))
-        self._cap_partial_rows()
-        ball_seed = []
-        for key, ball in parent._balls.items():
-            source, radius = key
-            if source == removed:
-                continue
-            nodes, dists = ball
-            pos = nodes.searchsorted(removed)
-            if pos < nodes.size and nodes[pos] == removed:
-                if radius == 0 or dists[pos] != radius:
-                    continue  # removed node strictly inside: invalidated
-                keep = np.ones(nodes.size, dtype=bool)
-                keep[pos] = False
-                ball = (_readonly(nodes[keep]), _readonly(dists[keep]))
-            ball_seed.append((key, ball, ball[0].nbytes + ball[1].nbytes))
-        self._rows.seed(row_seed)
-        self._balls.seed(ball_seed)
-        self._rows_inherited = len(row_seed)
-        self._balls_inherited = len(ball_seed)
-        self._note_peak()
-
     def _cap_partial_rows(self) -> None:
         """Bound pending partial rows by one row-budget's worth of bytes.
 
         Pending partials hold full stale rows outside the LRU budget, so
-        they obey the same byte discipline, dropping oldest-first (parent
-        rows arrive in LRU-to-MRU order, chained partials after — the
+        they obey the same byte discipline, dropping oldest-first (chained
+        parent partials arrive before this delta's fresh ones — the
         staler, the earlier).  Dropped sources recompute from scratch on
         demand.
         """
-        row_bytes = max(1, self._graph.n * np.dtype(DIST_DTYPE).itemsize)
-        cap = max(1, self._rows.budget // row_bytes)
+        cap = max(1, self._rows.budget // self._row_nbytes())
         while len(self._partial_rows) > cap:
             self._partial_rows.pop(next(iter(self._partial_rows)))
         self._rows_partial_inherited = len(self._partial_rows)
@@ -1095,289 +1022,224 @@ class LazyDistanceOracle(DistanceOracle):
         added: Sequence[tuple[int, int]],
         removed: Sequence[tuple[int, int]],
     ) -> None:
-        """Seed caches from ``parent`` after an edge delta.
+        """Seed caches from ``parent`` after an edge delta — the distance
+        layer's one inheritance certificate.
 
-        ``added`` / ``removed`` are the changed (normalized) edges; all
-        nodes persist — the mobility case.  Every cached parent row is
-        carried as a **full exact** child row via a batched dynamic-BFS
-        update, all rows advancing together through flat ``(row, node)``
-        frontiers:
+        ``added`` / ``removed`` are the changed (normalized) edges.  Every
+        graph mutation arrives here: mobility snapshots and link faults,
+        node removals (all incident edges removed) and node arrivals.  An
+        arrival first *pads*: this oracle's graph may append isolated
+        nodes at IDs ``>= parent.graph.n``, and carried rows are padded
+        with :data:`UNREACHABLE` (exact — isolated nodes are unreachable
+        and join no ball); the attachment edges follow as a second delta.
 
-        * :meth:`_settle_removals` runs the *increase* half: nodes whose
-          every shortest-path parent died (the orphan cascade) are reset
-          to :data:`UNREACHABLE`; every surviving entry provably keeps
-          its exact value;
-        * :meth:`_relax_rows` runs the *decrease* half: added-edge
-          shortcuts and the survivor/orphan boundaries are relaxed and
-          propagated to the unique fixed point — the child graph's true
-          BFS metric.
+        Each cached **row** takes one of three rungs:
 
-        Rows the update never touched are carried verbatim and recorded
-        in :attr:`delta_certified_sources` (canonical-path inheritance
-        builds on that proof); touched rows land as freshly materialized
-        arrays, counted by ``rows_patched`` in :meth:`stats`.  Keeping
-        whole rows — not just certifiable prefixes — is what keeps the
-        batched-rows hot paths (leg resolution, bulk pair distances)
-        warm under motion, where nearly every row is grazed by *some*
-        change.
+        * a cheap endpoint pre-filter carries rows the delta provably
+          cannot touch (no added edge spanning levels two apart, no
+          removed edge spanning adjacent levels) verbatim and records
+          them in :attr:`delta_certified_sources`;
+        * the remaining rows land as **full exact** child rows through a
+          batched dynamic-BFS update, all rows advancing together through
+          flat ``(row, node)`` frontiers: :meth:`_settle_removals` runs
+          the *increase* half (the orphan cascade: nodes whose every
+          shortest-path parent died reset to the sentinel, every other
+          entry provably exact) and :meth:`_relax_rows` the *decrease*
+          half (added-edge shortcuts and survivor/orphan boundaries
+          propagate to the child's true BFS metric).  Patched rows
+          count as ``rows_patched``.  Keeping whole rows is what keeps
+          the batched-rows hot paths (leg resolution, bulk pair
+          distances) warm under motion, where nearly every row is
+          grazed by *some* change;
+        * two kinds of row keep only their **valid prefix** instead:
+          rows that reach a node the delta cuts off entirely (a node
+          failure's victim — such a row is certain to change, so
+          patching would copy every row reaching the victim at every
+          failure, while churn loops rarely read them back), and rows
+          whose patch footprint exceeds :data:`DELTA_PATCH_SEED_BUDGET`
+          seeds (the bit-packed kernel recomputes them faster than
+          pair-level propagation could).  Entries at distance ``<= m``,
+          the distance to the nearest changed endpoint, are exact (a
+          shortest path's interior sits strictly closer than its end,
+          and an added edge only reaches nodes beyond ``m + 1``), so
+          the row is held as a pending partial and :meth:`row`
+          completes it by resuming BFS from its radius-``m`` frontier.
 
-        A cached **ball** ``(s, r)`` survives iff every changed-edge
-        endpoint sits at distance ``>= r``: absent from the ball or
-        exactly on its boundary (boundary nodes persist, so no patching
-        needed).  A parent *partial* row's radius shrinks to the nearest
-        touched node inside its prefix (stale values beyond the radius
-        only certify ``> radius``, so they never shrink it).
+        Parent partial rows chain with their radius shrunk to the nearest
+        touched node (stale values beyond the radius only certify
+        ``> radius``, so they never shrink it).  Cached **balls** carry
+        under :meth:`_carried_ball`.
         """
         self._carry_lineage(parent)
+        n, old_n = self._graph.n, parent._graph.n
+
+        def fit(row: np.ndarray) -> np.ndarray:
+            if row.size == n:
+                return row
+            out = np.full(n, UNREACHABLE, dtype=DIST_DTYPE)
+            out[:old_n] = row
+            return _readonly(out)
+
         add = np.asarray(sorted(added), dtype=np.intp).reshape(-1, 2)
         rem = np.asarray(sorted(removed), dtype=np.intp).reshape(-1, 2)
+        na = add.shape[0]
         touched = np.unique(np.concatenate([add.ravel(), rem.ravel()]))
-        # An empty effective delta needs no special case: the pre-filter
-        # below certifies every row verbatim, partials keep their radius,
-        # and every ball survives the boundary test.  (The production
-        # caller, Graph.with_edge_delta, returns `self` in that case and
-        # never even gets here.)
-        row_seed = []
-        # Chain the parent's pending partials first: their radius shrinks
-        # to the nearest touched node inside the prefix (stale values
-        # beyond the radius only certify "> radius", so they never shrink
-        # it).  Inserting them *before* this delta's fresh triage
-        # fallbacks keeps _cap_partial_rows' oldest-first eviction
-        # dropping the stalest entries first.
-        for src, (row, radius, chain) in parent._partial_rows.items():
-            if src in self._partial_rows:
-                continue
-            vals = row[touched]
-            inside = vals[vals <= radius]
-            m = int(inside.min()) if inside.size else radius
+        # Chained parent partials go first, so _cap_partial_rows'
+        # oldest-first eviction drops the stalest entries first.
+        for src, (row, radius) in parent._partial_rows.items():
+            m = min(radius, int(row[touched].min())) if touched.size else radius
             if m > 0:
-                self._partial_rows[src] = (row, m, chain)
-        srcs = [s for s, _ in parent._rows.items()]
+                self._partial_rows[src] = (fit(row), m)
+        pairs = [(src, fit(row)) for src, row in parent._rows.items()]
+        row_seed = []
         certified: set[int] = set()
-        if srcs:
-            n = self._graph.n
-            num = len(srcs)
-            # Cheap pre-filter on the delta endpoints only: a row can be
-            # affected solely by an added edge spanning levels >= 2 apart
-            # (a shortcut / new reachability) or a removed edge spanning
-            # adjacent levels (a potential tree edge).  Unaffected rows —
-            # the bulk, under small deltas — skip the stacked update
-            # entirely and carry verbatim.
-            na, nr = add.shape[0], rem.shape[0]
-            cols = np.concatenate(
-                [add[:, 0], add[:, 1], rem[:, 0], rem[:, 1]]
-            )
-            vals = np.empty((num, cols.size), dtype=np.int64)
-            for i, src in enumerate(srcs):
-                vals[i] = parent._rows.get(src)[cols]
-            maybe = np.zeros(num, dtype=bool)
-            if na:
-                au, av = vals[:, :na], vals[:, na : 2 * na]
-                maybe |= (
-                    np.minimum(au, av) + 1 < np.maximum(au, av)
-                ).any(axis=1)
-            if nr:
-                ru = vals[:, 2 * na : 2 * na + nr]
-                rv = vals[:, 2 * na + nr :]
-                maybe |= (np.abs(ru - rv) == 1).any(axis=1)
-            aff = np.flatnonzero(maybe)
-            for i in np.flatnonzero(~maybe):
-                src = srcs[i]
-                row = parent._rows.get(src)
+        affected: list[int] = []
+        fallback: list[int] = []
+        if pairs and touched.size:
+            cols = np.concatenate([add[:, 0], add[:, 1], rem[:, 0], rem[:, 1]])
+            vals = np.stack([row[cols] for _, row in pairs]).astype(np.int64)
+            nr = rem.shape[0]
+            au, av = vals[:, :na], vals[:, na : 2 * na]
+            ru, rv = vals[:, 2 * na : 2 * na + nr], vals[:, 2 * na + nr :]
+            maybe = (np.minimum(au, av) + 1 < np.maximum(au, av)).any(axis=1)
+            maybe |= (np.abs(ru - rv) == 1).any(axis=1)
+            # Rows reaching a node the delta cuts off entirely.
+            cut_off = np.diff(self._indptr)[cols] == 0
+            reach_cut = ((vals < UNREACHABLE) & cut_off).any(axis=1)
+            low = vals.min(axis=1)  # distance to the nearest touched node
+        else:
+            maybe = reach_cut = np.zeros(len(pairs), dtype=bool)
+        for i, (src, row) in enumerate(pairs):
+            if not maybe[i]:
                 certified.add(src)
                 row_seed.append((src, row, row.nbytes))
-            if aff.size:
-                aff_srcs = [srcs[i] for i in aff]
-                old_block = np.stack(
-                    [parent._rows.get(s) for s in aff_srcs]
-                ).astype(np.int64)
-                block = old_block.copy()
-                orph_r, orph_n = self._settle_removals(old_block, block, rem)
-                orphans_per_row = np.bincount(orph_r, minlength=aff.size)
-                # Added-edge shortcuts per row: |d(s,u) - d(s,v)| >= 2
-                # means the edge genuinely shortens the row somewhere
-                # (one side unreachable counts — new reachability; both
-                # unreachable is gap 0 and harmless).
-                if na:
-                    au = block[:, add[:, 0]]
-                    av = block[:, add[:, 1]]
-                    gap2 = np.minimum(au, av) + 1 < np.maximum(au, av)
-                    shortcuts_per_row = gap2.sum(axis=1)
-                else:
-                    gap2 = np.zeros((aff.size, 0), dtype=bool)
-                    shortcuts_per_row = np.zeros(aff.size, dtype=np.int64)
-                # Triage: rows whose delta footprint is small get patched
-                # to exact child rows; rows grazed by many changes fall
-                # back to the valid-prefix rung (the bit-packed batch
-                # kernel recomputes them faster than pair-level
-                # propagation could).
-                patch = (
-                    orphans_per_row + shortcuts_per_row
-                ) <= DELTA_PATCH_SEED_BUDGET
-                changed = orphans_per_row > 0
-                seed_parts: list[np.ndarray] = []
-                # Seeds: the orphans' surviving neighbors push repair
-                # values across the boundary (orphan-side neighbors still
-                # at the sentinel are filtered out by the bucket sweep
-                # and re-enter once they gain a value).
-                keep = patch[orph_r]
-                if keep.any():
-                    o_r, o_n = orph_r[keep], orph_n[keep]
-                    nbrs, counts = gather_csr_neighbors(
-                        self._indptr, self._indices, o_n
-                    )
-                    seed_parts.append(np.repeat(o_r, counts) * n + nbrs)
-                # ... and each shortcutting added edge's nearer endpoint
-                # pushes the decrease into the farther side.
-                for j in range(na):
-                    rows_j = np.flatnonzero(gap2[:, j] & patch)
-                    if rows_j.size == 0:
-                        continue
-                    u, v = int(add[j, 0]), int(add[j, 1])
-                    nearer = np.where(
-                        block[rows_j, u] <= block[rows_j, v], u, v
-                    )
-                    seed_parts.append(rows_j * n + nearer)
-                if seed_parts:
-                    flat = _dedupe_flat(np.concatenate(seed_parts))
-                    changed |= self._relax_rows(block, flat // n, flat % n)
-                prefix = old_block[:, touched].min(axis=1)
-                for j, src in enumerate(aff_srcs):
-                    if not patch[j]:
-                        if prefix[j] > 0:
-                            self._partial_rows[src] = (
-                                parent._rows.get(src),
-                                int(prefix[j]),
-                                (),
-                            )
-                        continue
-                    if changed[j]:
-                        row = _readonly(block[j].astype(DIST_DTYPE))
-                        self._rows_patched += 1
-                    else:
-                        row = parent._rows.get(src)
-                        certified.add(src)
-                    row_seed.append((src, row, row.nbytes))
-        self._delta_certified = frozenset(certified)
-        self._cap_partial_rows()
-        ball_seed = []
-        for key, ball in parent._balls.items():
-            _, radius = key
-            nodes, dists = ball
-            pos = nodes.searchsorted(touched)
-            hit = pos < nodes.size
-            hit[hit] = nodes[pos[hit]] == touched[hit]
-            if hit.any() and (dists[pos[hit]] != radius).any():
-                continue  # a touched node strictly inside: invalidated
-            ball_seed.append((key, ball, ball[0].nbytes + ball[1].nbytes))
-        self._rows.seed(row_seed)
-        self._balls.seed(ball_seed)
-        self._rows_inherited = len(row_seed)
-        self._balls_inherited = len(ball_seed)
-        self._note_peak()
-
-    def inherit_node_add(
-        self,
-        parent: "LazyDistanceOracle",
-        added: Sequence[tuple[int, int]],
-    ) -> None:
-        """Seed caches from ``parent`` after new nodes were appended.
-
-        ``added`` are the arrivals' attachment edges (each touching at
-        least one node ID ``>= parent.graph.n``).  Node addition is the
-        pure *decrease* case of the dynamic-BFS update: every old path
-        survives, so every cached parent entry remains a realizable upper
-        bound, and the only over-estimates are the new nodes themselves
-        (born at :data:`UNREACHABLE`) plus any old pair a path through a
-        new node genuinely shortcuts.  There is no orphan cascade —
-        :meth:`_relax_rows` alone, seeded with every finite attachment
-        endpoint, reaches the fixed point: any strictly-shorter child
-        path crosses an attachment edge at its first new node, and the
-        Dial sweep settles pairs in ascending distance order.
-
-        Every cached parent row is therefore carried as a **full exact**
-        child row: padded to the grown length with the sentinel, stacked,
-        and relaxed in one batch.  Rows whose *old* entries came through
-        unchanged (new nodes merely appended) are recorded in
-        :attr:`delta_certified_sources` — canonical-path inheritance
-        builds on that proof; rows with genuine old-entry shortcuts count
-        as ``rows_patched``.
-
-        A cached **ball** ``(s, r)`` survives iff every old attachment
-        endpoint sits at distance ``>= r`` from ``s``: a new node is then
-        at distance ``>= r + 1``, so it neither enters the closed ball
-        nor shortens any member's distance (a detour through it costs
-        ``>= r + 2``).  Parent partial rows chain with their radius
-        shrunk to the nearest old attachment endpoint inside the prefix,
-        padded to the grown length.
-        """
-        self._carry_lineage(parent)
-        old_n = parent._graph.n
-        new_n = self._graph.n
-        grown = new_n - old_n
-        add = np.asarray(sorted(added), dtype=np.int64).reshape(-1, 2)
-        ends = _dedupe_flat(add.ravel().copy())
-        touched_old = ends[ends < old_n]
-
-        def _padded(row: np.ndarray) -> np.ndarray:
-            out = np.full(new_n, UNREACHABLE, dtype=DIST_DTYPE)
-            out[:old_n] = row
-            return out
-
-        for src, (row, radius, chain) in parent._partial_rows.items():
-            if src in self._partial_rows:
-                continue
-            vals = row[touched_old]
-            inside = vals[vals <= radius]
-            m = int(inside.min()) if inside.size else radius
-            if m > 0:
-                self._partial_rows[src] = (_readonly(_padded(row)), m, chain)
-        srcs = [s for s, _ in parent._rows.items()]
-        certified: set[int] = set()
-        row_seed = []
-        if srcs:
-            old_block = np.stack([parent._rows.get(s) for s in srcs])
-            block = np.full((len(srcs), new_n), UNREACHABLE, dtype=np.int64)
-            block[:, :old_n] = old_block
-            # Seed every attachment endpoint in every row; endpoints still
-            # at the sentinel (new nodes, unreachable components) are
-            # filtered by the bucket sweep and re-enter once they gain a
-            # value through a finite neighbor.
-            rows_idx = np.repeat(np.arange(len(srcs)), ends.size)
-            nodes_idx = np.tile(ends, len(srcs))
-            if grown and ends.size:
-                self._relax_rows(block, rows_idx, nodes_idx)
-            old_changed = (block[:, :old_n] != old_block).any(axis=1)
-            for j, src in enumerate(srcs):
-                row = _readonly(block[j].astype(DIST_DTYPE))
-                if old_changed[j]:
+            elif reach_cut[i]:
+                fallback.append(i)
+            else:
+                affected.append(i)
+        if affected:
+            old_block = np.stack([pairs[i][1] for i in affected]).astype(np.int64)
+            block = old_block.copy()
+            orph_r, orph_n = self._settle_removals(old_block, block, rem)
+            # Added-edge shortcuts per row: |d(s,u) - d(s,v)| >= 2 means
+            # the edge genuinely shortens the row somewhere (one side
+            # unreachable counts — new reachability).
+            gap2 = (
+                np.minimum(block[:, add[:, 0]], block[:, add[:, 1]]) + 1
+                < np.maximum(block[:, add[:, 0]], block[:, add[:, 1]])
+            )
+            orphans_per_row = np.bincount(orph_r, minlength=len(affected))
+            patch = (
+                orphans_per_row + gap2.sum(axis=1)
+            ) <= DELTA_PATCH_SEED_BUDGET
+            changed = orphans_per_row > 0
+            seed_parts: list[np.ndarray] = []
+            # Seeds: the orphans' surviving neighbors push repair values
+            # across the boundary (orphan-side neighbors still at the
+            # sentinel are filtered out by the bucket sweep and re-enter
+            # once they gain a value) ...
+            keep = patch[orph_r]
+            if keep.any():
+                o_r, o_n = orph_r[keep], orph_n[keep]
+                nbrs, counts = gather_csr_neighbors(
+                    self._indptr, self._indices, o_n
+                )
+                seed_parts.append(np.repeat(o_r, counts) * n + nbrs)
+            # ... and each shortcutting added edge's nearer endpoint
+            # pushes the decrease into the farther side.
+            for j in range(na):
+                rows_j = np.flatnonzero(gap2[:, j] & patch)
+                if rows_j.size == 0:
+                    continue
+                u, v = int(add[j, 0]), int(add[j, 1])
+                nearer = np.where(block[rows_j, u] <= block[rows_j, v], u, v)
+                seed_parts.append(rows_j * n + nearer)
+            if seed_parts:
+                flat = _dedupe_flat(np.concatenate(seed_parts))
+                changed |= self._relax_rows(block, flat // n, flat % n)
+            for j, i in enumerate(affected):
+                src, row = pairs[i]
+                if not patch[j]:
+                    fallback.append(i)
+                    continue
+                if changed[j]:
+                    row = _readonly(block[j].astype(DIST_DTYPE))
                     self._rows_patched += 1
                 else:
                     certified.add(src)
                 row_seed.append((src, row, row.nbytes))
+        for i in fallback:
+            if low[i] > 0:
+                self._partial_rows[pairs[i][0]] = (pairs[i][1], int(low[i]))
         self._delta_certified = frozenset(certified)
         self._cap_partial_rows()
+        pairwise = np.concatenate([add.ravel(), rem.ravel()])
+        hit = np.zeros(n, dtype=bool)
+        hit[touched] = True
         ball_seed = []
         for key, ball in parent._balls.items():
-            _, radius = key
-            nodes, dists = ball
-            pos = nodes.searchsorted(touched_old)
-            hit = pos < nodes.size
-            hit[hit] = nodes[pos[hit]] == touched_old[hit]
-            if hit.any() and (dists[pos[hit]] != radius).any():
-                continue  # an attachment endpoint strictly inside: invalidated
-            ball_seed.append((key, ball, ball[0].nbytes + ball[1].nbytes))
+            carried = ball
+            if hit[ball[0]].any():
+                carried = self._carried_ball(ball, key[1], pairwise, na, rem)
+            if carried is not None:
+                ball_seed.append(
+                    (key, carried, carried[0].nbytes + carried[1].nbytes)
+                )
         self._rows.seed(row_seed)
         self._balls.seed(ball_seed)
         self._rows_inherited = len(row_seed)
         self._balls_inherited = len(ball_seed)
         self._note_peak()
 
+    def _carried_ball(
+        self,
+        ball: tuple[np.ndarray, np.ndarray],
+        radius: int,
+        ends: np.ndarray,
+        na: int,
+        rem: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray] | None:
+        """``ball`` (radius ``radius``) as it stands after the delta, or
+        ``None`` when it must be recomputed.
+
+        ``ends`` holds the added edges' endpoints (the first ``2 * na``)
+        then the removed ones', pairwise.  Non-members count as level
+        ``radius + 1``.  The ball survives unless a change reaches its
+        interior: an added edge spanning levels two apart (a shortcut, or
+        a non-member pulled inside), or a removed edge whose deeper
+        endpoint sits strictly inside.  A removed edge into a boundary
+        node drops that node unless it keeps a neighbor at level
+        ``radius - 1`` — the interior is unchanged, so that neighbor
+        still witnesses distance ``radius``.
+        """
+        nodes, dists = ball
+        pos = np.minimum(nodes.searchsorted(ends), nodes.size - 1)
+        member = nodes[pos] == ends
+        lvl = np.where(member, dists[pos], radius + 1).astype(np.int64)
+        au, av = lvl[0 : 2 * na : 2], lvl[1 : 2 * na : 2]
+        if (np.abs(au - av) >= 2).any():
+            return None
+        ru, rv = lvl[2 * na :: 2], lvl[2 * na + 1 :: 2]
+        deeper = np.maximum(ru, rv)
+        tree = np.abs(ru - rv) == 1
+        if (tree & (deeper < radius)).any():
+            return None
+        on_boundary = tree & (deeper == radius)
+        boundary = np.where(ru > rv, rem[:, 0], rem[:, 1])[on_boundary]
+        if boundary.size == 0:
+            return ball
+        keep = np.ones(nodes.size, dtype=bool)
+        for c in np.unique(boundary):
+            nbrs = self._indices[self._indptr[c] : self._indptr[c + 1]]
+            p = np.minimum(nodes.searchsorted(nbrs), nodes.size - 1)
+            if not ((nodes[p] == nbrs) & (dists[p] == radius - 1)).any():
+                keep[nodes.searchsorted(c)] = False
+        return _readonly(nodes[keep]), _readonly(dists[keep])
+
     @property
     def delta_certified_sources(self) -> frozenset[int]:
-        """Sources whose rows the last edge-delta inheritance *proved*
-        unchanged (empty unless this oracle was derived by
-        :meth:`inherit_edge_delta`).
+        """Sources whose rows the inheritance *proved* unchanged (empty
+        unless this oracle was derived by :meth:`inherit_edge_delta`).
 
         The certificate is stronger than "the row happens to be cached":
         every distance from such a source is identical in parent and
@@ -1391,21 +1253,16 @@ class LazyDistanceOracle(DistanceOracle):
 
     # -- queries ------------------------------------------------------- #
 
-    def _reexpand_row(
-        self, source: int, row: np.ndarray, radius: int, chain: tuple[int, ...]
-    ) -> np.ndarray:
+    def _reexpand_row(self, row: np.ndarray, radius: int) -> np.ndarray:
         """Complete a partial row: resume BFS from its valid frontier.
 
         The prefix (entries at distance <= ``radius``) is exact; entries
-        beyond it — and the ``chain`` of removed nodes themselves — are
-        reset to :data:`UNREACHABLE` and recomputed by continuing the
-        level-synchronous sweep from the nodes at exactly ``radius``
-        (the only visited nodes an unvisited node can adjoin).
+        beyond it are reset to :data:`UNREACHABLE` and recomputed by
+        continuing the level-synchronous sweep from the nodes at exactly
+        ``radius`` (the only prefix nodes an unvisited node can adjoin).
         """
         dist = row.copy()
         dist[dist > radius] = UNREACHABLE
-        rm = np.asarray(chain, dtype=np.intp)
-        dist[rm[row[rm] <= radius]] = UNREACHABLE
         frontier = np.flatnonzero(dist == radius)
         level = radius
         indptr, indices = self._indptr, self._indices
@@ -1433,7 +1290,7 @@ class LazyDistanceOracle(DistanceOracle):
             return cached
         partial = self._partial_rows.get(source)
         if partial is not None:
-            dist = self._reexpand_row(source, *partial)
+            dist = self._reexpand_row(*partial)
         else:
             dist, _ = _csr_bfs(
                 self._indptr, self._indices, self._graph.n, source
@@ -1551,7 +1408,7 @@ class LazyDistanceOracle(DistanceOracle):
             row_hits=self._row_hits,
             balls_computed=self._balls_computed,
             ball_hits=self._ball_hits,
-            cached_bytes=self._rows.nbytes + self._balls.nbytes,
+            cached_bytes=self._cached_bytes(),
             peak_cached_bytes=self._peak_bytes,
             rows_inherited=self._rows_inherited,
             balls_inherited=self._balls_inherited,

@@ -126,159 +126,109 @@ class PathOracle:
 
     @property
     def paths_inherited(self) -> int:
-        """Cached paths carried over from a parent oracle after a removal."""
+        """Cached paths carried over from a parent oracle or seeded."""
         return self._paths_inherited
 
     def inherit_from(self, parent: "PathOracle", removed: NodeId) -> int:
-        """Seed the path cache from ``parent`` after ``removed`` lost its edges.
+        """:meth:`inherit_edge_delta` for the removal of node ``removed``.
 
-        A cached canonical path that does not contain ``removed`` is still
-        the canonical path in the child graph: removal only *increases*
-        distances, so every node of the surviving path keeps its BFS level
-        from the smaller endpoint, and the min-ID backward walk — whose
-        candidate sets can only shrink but always retain the previously
-        chosen (still-minimal) predecessor — reproduces the identical
-        walk.  Paths through ``removed`` are dropped and recomputed on
-        demand.
-
-        Returns the number of paths carried over.
+        The name stays because the traced benchmark run
+        (``perfbench/layers.py``) looks it up on this class.
         """
-        removed = int(removed)
-        seed = [
-            (key, path, _path_nbytes(path))
-            for key, path in parent._cache.items()
-            if removed not in path
-        ]
-        self._cache.seed(seed)
-        self._paths_inherited += len(seed)
-        if self._cache.nbytes > self._peak_bytes:
-            self._peak_bytes = self._cache.nbytes
-        return len(seed)
+        return self.inherit_edge_delta(parent, (removed,))
+
+    def inherit_node_add(self, parent: "PathOracle") -> int:
+        """:meth:`inherit_edge_delta` for node arrivals (new nodes count as
+        touched implicitly).
+
+        The name stays because the traced benchmark run
+        (``perfbench/layers.py``) looks it up on this class.
+        """
+        return self.inherit_edge_delta(parent, ())
 
     def inherit_edge_delta(
         self, parent: "PathOracle", touched: Iterable[NodeId]
     ) -> int:
-        """Seed the path cache from ``parent`` after an edge delta.
+        """Seed the path cache from ``parent`` after any structural change.
 
-        ``touched`` is the set of endpoints of every added or removed
-        edge (all nodes persist — the mobility case).  Call this on an
-        oracle for the post-delta graph *before* querying it.  A path
-        survives only when no changed edge is incident to one of its
-        nodes (adjacency, hence the min-ID candidate *sets*, unchanged)
-        **and** the BFS levels its backward walk consults are provably
-        unchanged: both the parent's and the child's oracles must hold
-        resident rows for the path's BFS root ``s``
-        (:meth:`DistanceOracle.cached_row` — the child's is typically an
-        inherited certified/patched row), and the two rows must agree on
-        every path node and every neighbor of a path node.  The walk's
-        candidate sets are then value-identical, so the identical min-ID
-        walk re-derives.  Mere avoidance of touched nodes is never
-        enough on its own — an *added* edge elsewhere can reroute
-        levels.
+        Call this on an oracle for the changed graph *before* querying
+        it.  ``touched`` must contain an endpoint of every changed edge;
+        nodes this graph appended (IDs ``>= parent.graph.n``) count as
+        touched implicitly.  The added and removed edges are derived by
+        comparing the two graphs' adjacency at the touched nodes, so
+        ``touched`` may span several composed deltas (the mobility loop
+        inherits across disconnected-snapshot gaps).
 
-        The row comparison deliberately judges the *parent oracle's*
-        graph against this one, so ``touched`` may span several composed
-        deltas (the mobility loop inherits across disconnected-snapshot
-        gaps); rows the child inherited verbatim compare equal
-        instantly (same array object).
+        A cached canonical path survives iff
 
-        Returns the number of paths carried over.
-        """
-        touched_set = {int(t) for t in touched}
-        parent_oracle = parent._graph.oracle
-        child_oracle = self._graph.oracle
-        indptr, indices = self._graph.csr_adjacency
-        # Per source: the set of nodes whose *own or neighboring* level
-        # changed — a path survives iff it avoids that set (and every
-        # touched node).  None = no resident row pair, drop the source.
-        bad_nodes: dict[int, set | None] = {}
-        seed = []
-        for key, path in parent._cache.items():
-            if key in self._cache:
-                continue
-            s = key[0]
-            if not touched_set.isdisjoint(path):
-                continue  # a changed edge touches the walk's candidate sets
-            bad = bad_nodes.get(s, -1)
-            if bad == -1:
-                old_row = parent_oracle.cached_row(s)
-                new_row = child_oracle.cached_row(s)
-                if old_row is None or new_row is None:
-                    bad = None
-                elif new_row is old_row:  # carried verbatim: levels identical
-                    bad = set()
-                else:
-                    moved = np.flatnonzero(new_row != old_row)
-                    if moved.size:
-                        nbrs, _ = gather_csr_neighbors(
-                            indptr, indices, moved
-                        )
-                        bad = set(moved.tolist())
-                        bad.update(nbrs.tolist())
-                    else:
-                        bad = set()
-                bad_nodes[s] = bad
-            if bad is None or not bad.isdisjoint(path):
-                continue
-            seed.append((key, path, _path_nbytes(path)))
-        self._cache.seed(seed)
-        self._paths_inherited += len(seed)
-        if self._cache.nbytes > self._peak_bytes:
-            self._peak_bytes = self._cache.nbytes
-        return len(seed)
+        (a) it uses no removed edge;
+        (b) none of its nodes gained an edge to another old node; and
+        (c) if any edge was added, both oracles hold resident rows for the
+            path's BFS root ``s`` (:meth:`DistanceOracle.cached_row`) and
+            the rows agree on every path node and every neighbor of one.
 
-    def inherit_node_add(self, parent: "PathOracle") -> int:
-        """Seed the path cache from ``parent`` after node arrivals.
-
-        New nodes append at IDs ``>= parent.graph.n``, so they can never
-        win a min-ID tie in the backward walk — adjacency growing by
-        only-higher-ID neighbors leaves every candidate ``min()``
-        unchanged.  A cached path therefore survives iff the BFS levels
-        its walk consults are provably unchanged: both oracles must hold
-        resident rows for the path's root ``s``
-        (:meth:`DistanceOracle.cached_row`), and the child row's *old*
-        prefix must agree with the parent row on every path node and
-        every old neighbor of a path node (arrivals only decrease
-        distances, so a disagreement means a genuine shortcut rerouted
-        the walk's levels).  The verification mirrors
-        :meth:`inherit_edge_delta` — and like there, the row comparison
-        judges the parent oracle's graph against this one, so chained
-        arrivals compose (the recorded per-hop certificates deliberately
-        go unused).
+        Under (a) and (b) each node's old min-ID predecessor is still a
+        candidate of the backward walk, and every new candidate is a new
+        node — which never wins a min-ID tie — or an old candidate.  What
+        remains is that the BFS levels the walk consults are unchanged: a
+        pure removal only *increases* distances, so the path's own levels
+        survive along its surviving edges and candidate sets can only
+        shrink; once an edge appears, levels can drop anywhere, which (c)
+        rules out.
 
         Returns the number of paths carried over.
         """
-        old_n = parent._graph.n
-        parent_oracle = parent._graph.oracle
-        child_oracle = self._graph.oracle
-        indptr, indices = self._graph.csr_adjacency
+        old, new = parent._graph, self._graph
+        old_n = old.n
+        nodes = {int(t) for t in touched} | set(range(old_n, new.n))
+        removed: set[tuple[int, int]] = set()
+        gained: set[int] = set()
+        grew = False
+        for t in nodes:
+            before = set(old.neighbors(t)) if t < old_n else set()
+            after = set(new.neighbors(t))
+            for v in before - after:
+                removed.add((t, v) if t < v else (v, t))
+            for v in after - before:
+                grew = True
+                if t < old_n and v < old_n:
+                    gained.update((t, v))
+        cut = {x for e in removed for x in e}
+        if grew:
+            parent_oracle = old.oracle
+            child_oracle = new.oracle
+            indptr, indices = new.csr_adjacency
         # Per source: nodes whose own or neighboring level changed (None =
-        # no resident row pair, drop the source's paths).
+        # no resident row pair, the source's paths drop).
         bad_nodes: dict[int, set | None] = {}
         seed = []
         for key, path in parent._cache.items():
-            if key in self._cache:
+            if key in self._cache or not gained.isdisjoint(path):
                 continue
-            s = key[0]
-            bad = bad_nodes.get(s, -1)
-            if bad == -1:
-                old_row = parent_oracle.cached_row(s)
-                new_row = child_oracle.cached_row(s)
-                if old_row is None or new_row is None:
-                    bad = None
-                else:
-                    moved = np.flatnonzero(new_row[:old_n] != old_row)
-                    if moved.size:
-                        nbrs, _ = gather_csr_neighbors(
-                            indptr, indices, moved
-                        )
-                        bad = set(moved.tolist())
-                        bad.update(nbrs.tolist())
-                    else:
+            if not cut.isdisjoint(path) and any(
+                ((a, b) if a < b else (b, a)) in removed
+                for a, b in zip(path, path[1:])
+            ):
+                continue
+            if grew:
+                s = key[0]
+                bad = bad_nodes.get(s, -1)
+                if bad == -1:
+                    old_row = parent_oracle.cached_row(s)
+                    new_row = child_oracle.cached_row(s)
+                    if old_row is None or new_row is None:
+                        bad = None
+                    elif new_row is old_row:  # carried verbatim
                         bad = set()
-                bad_nodes[s] = bad
-            if bad is None or not bad.isdisjoint(path):
-                continue
+                    else:
+                        moved = np.flatnonzero(new_row[:old_n] != old_row)
+                        bad = set(moved.tolist())
+                        if moved.size:
+                            nbrs, _ = gather_csr_neighbors(indptr, indices, moved)
+                            bad.update(nbrs.tolist())
+                    bad_nodes[s] = bad
+                if bad is None or not bad.isdisjoint(path):
+                    continue
             seed.append((key, path, _path_nbytes(path)))
         self._cache.seed(seed)
         self._paths_inherited += len(seed)

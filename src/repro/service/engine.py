@@ -8,10 +8,11 @@ ladder the earlier layers provide:
 * ``join`` — :meth:`~repro.net.topology.Topology.with_node`-style
   unit-disk attachment (dead nodes excluded), admission through
   :func:`~repro.core.clustering.admit_nodes`.  A member join keeps the
-  whole CDS stage (``dataclasses.replace`` of the backbone) and carries
-  the routing layer via
-  :meth:`~repro.traffic.router.BatchRouter.inherit_node_add`; a declared
-  arrival rebuilds only the backbone stage on an inherited path oracle.
+  whole CDS stage (``dataclasses.replace`` of the backbone) and rebinds
+  the live router in place via
+  :meth:`~repro.traffic.router.BatchRouter.admit_member` (O(1), head
+  layer kept verbatim, legs re-resolved on demand); a declared arrival
+  rebuilds only the backbone stage, carrying head-graph trees.
   A member join whose attach links *bridge previously separate
   components* (an earlier arrival landed in a radio hole, a later one
   wires it back) also rebuilds the backbone stage: the graph becomes one
@@ -21,8 +22,10 @@ ladder the earlier layers provide:
   (O(attach) per join; recomputed after edge-removing events).
 * ``leave`` — the §3.3 repair ladder with the
   :func:`~repro.maintenance.repair.degraded_repair` floor, router caches
-  carried across (splices keep the whole head layer — see the gateway
-  splice contract in :mod:`repro.traffic.lifetime`).
+  carried across through
+  :meth:`~repro.traffic.router.BatchRouter.inherit_edge_delta` (splices
+  keep the whole head layer — see the gateway splice contract in
+  :mod:`repro.traffic.lifetime`).
 * ``move`` / ``link_down`` / ``link_up`` — unit-disk edge deltas through
   :meth:`~repro.net.graph.Graph.with_edge_delta`, backbone rebuilt on a
   delta-seeded path oracle when the cover survives, scoped recluster
@@ -365,11 +368,11 @@ class ServiceEngine:
             # whose attach links bridge previously separate components,
             # where the head graph needs virtual links across the bridge
             # that reusing the old link set cannot supply.  Either way
-            # the backbone stage rebuilds on a node-add-inherited path
-            # oracle, head-graph trees carried where the link
-            # certificates hold.
+            # the backbone stage rebuilds on a fresh path oracle — the
+            # grown graph starts row-cold, and the path certificate needs
+            # resident rows once an arrival adds edges — with head-graph
+            # trees carried where the link certificates hold.
             paths2 = PathOracle(g2)
-            paths2.inherit_node_add(self.paths)
             built = self._build_with_merge(c2, paths2, event)
             if built is None:
                 return
@@ -421,7 +424,7 @@ class ServiceEngine:
         # only invalidate trees the per-tree link certificates already
         # re-verify (see the gateway-splice walk-identity contract).
         changed = frozenset() if outcome.spliced else outcome.scope_heads
-        stats = router2.inherit_from(self.router, x, changed)
+        stats = router2.inherit_edge_delta(self.router, (x,), changed)
         publish_counters("service.leave_inherit", stats)
         self.topology = replace(self.topology, graph=g2)
         self._comp_labels = None

@@ -102,7 +102,7 @@ class LifetimeReport:
             network (simulation stops there), or None.
         router_rebuilds_avoided: repairs after which the whole
             head-routing layer (Dijkstra trees, head walks) survived into
-            the next epoch via :meth:`BatchRouter.inherit_from` instead
+            the next epoch via :meth:`BatchRouter.inherit_edge_delta` instead
             of being rebuilt from scratch.
         router_legs_inherited: resolved member<->head canonical paths
             carried across repairs.
@@ -325,7 +325,9 @@ def simulate_traffic_lifetime(
                         frozenset() if outcome.spliced
                         else outcome.scope_heads
                     )
-                    inherited = router.inherit_from(old_router, node, changed)
+                    inherited = router.inherit_edge_delta(
+                        old_router, (node,), changed
+                    )
                     if inherited["head_graph_unchanged"]:
                         report.router_rebuilds_avoided += 1
                     report.router_legs_inherited += inherited["legs"]

@@ -22,14 +22,14 @@ The produced :class:`RoutedFlows` carries every walk plus per-flow hop
 counts, shortest distances and the traversed head sequences — exactly
 what the load accounting (:mod:`repro.traffic.load`) needs.
 
-Under churn, a repaired backbone no longer forces a cold router:
-:meth:`BatchRouter.inherit_from` carries the previous router's Dijkstra
-trees, memoized head sequences/walks, link segments and resolved
-member<->head legs across a single-node failure — the same
-validity-checked contract :meth:`LazyDistanceOracle.inherit_from`
-implements for rows and balls — so the traffic-driven lifetime loop
-(:mod:`repro.traffic.lifetime`) pays for a repair only in proportion to
-what the repair actually changed.
+Under churn, motion and growth, a changed backbone no longer forces a
+cold router: :meth:`BatchRouter.inherit_edge_delta` carries the previous
+router's Dijkstra trees, memoized head sequences/walks, link segments and
+resolved member<->head legs across any edge delta — a failure, a
+snapshot or an arrival — under the same validity-checked contract
+:meth:`LazyDistanceOracle.inherit_edge_delta` implements for rows and
+balls, so the traffic-driven loops pay for a change only in proportion to
+what it actually changed.
 """
 
 from __future__ import annotations
@@ -188,47 +188,35 @@ class BatchRouter:
         """The canonical-path oracle holding the resolved legs."""
         return self._oracle
 
-    def inherit_from(
+    def inherit_edge_delta(
         self,
         old: "BatchRouter",
-        removed: NodeId,
+        touched: Iterable[NodeId] = (),
         changed_heads: frozenset[NodeId] = frozenset(),
     ) -> dict[str, int]:
-        """Carry ``old``'s caches across the repair that removed ``removed``.
+        """Carry ``old``'s caches across any structural change.
 
-        Call on a freshly built router for the repaired backbone.  The
-        head-graph state (Dijkstra trees, head sequences, expanded walks,
-        link segments) inherits through
-        :meth:`~repro.cds.routing.HeadRouter.inherit_from` — verified
-        against the new backbone's links — and the resolved member<->head
-        legs through :meth:`~repro.net.paths.PathOracle.inherit_from`
-        (every cached canonical path avoiding ``removed`` stays exact).
-
-        Returns the combined counter dict; ``head_graph_unchanged`` is 1
-        when the whole head-routing layer survived (a full router rebuild
-        avoided).
-        """
-        stats = self._router.inherit_from(old._router, removed, changed_heads)
-        stats["legs"] = self._oracle.inherit_from(old._oracle, removed)
-        return stats
-
-    def inherit_edge_delta(
-        self, old: "BatchRouter", touched: Iterable[NodeId]
-    ) -> dict[str, int]:
-        """Carry ``old``'s caches across a mobility edge delta.
-
-        ``touched`` is the endpoint set of the snapshot's changed edges
-        (union over composed deltas when snapshots were skipped).  The
-        head-graph layer inherits through the per-tree certificates of
-        :meth:`~repro.cds.routing.HeadRouter.inherit_from` (valid for
-        any backbone change); resolved legs inherit through
+        Call on a freshly built router for the changed backbone.
+        ``touched`` holds an endpoint of every changed edge — the removed
+        node after a failure, the snapshot endpoints after a mobility
+        delta (their union when snapshots were composed), nothing after
+        a pure arrival (new nodes are implied).  The head-graph state
+        (Dijkstra trees, head sequences, expanded walks, link segments)
+        inherits through the structural per-tree certificates of
+        :meth:`~repro.cds.routing.HeadRouter.inherit_from`, with
+        ``changed_heads`` as its extra conservative mask; resolved
+        member<->head legs inherit through
         :meth:`~repro.net.paths.PathOracle.inherit_edge_delta` — unless
         this router's oracle is ``old``'s, or was already seeded by an
         earlier inheritance (the mobility loop inherits the shared path
         oracle *before* ``build_backbone`` so the virtual links benefit
         too), in which case the legs are left alone.
+
+        Returns the combined counter dict; ``head_graph_unchanged`` is 1
+        when the whole head-routing layer survived (a full router rebuild
+        avoided).
         """
-        stats = self._router.inherit_from(old._router)
+        stats = self._router.inherit_from(old._router, changed_heads)
         if self._oracle is old._oracle or self._oracle.paths_inherited:
             stats["legs"] = 0
         else:
@@ -263,27 +251,6 @@ class BatchRouter:
         self._graph = result.clustering.graph
         self._oracle = oracle
         self._head_of = np.asarray(result.clustering.head_of, dtype=np.int64)
-
-    def inherit_node_add(self, old: "BatchRouter") -> dict[str, int]:
-        """Carry ``old``'s caches across a node arrival.
-
-        The head-graph layer inherits through the structural per-tree
-        certificates of :meth:`~repro.cds.routing.HeadRouter.inherit_from`
-        — a member join reuses the virtual graph and selected links
-        unchanged (the same-object fast path carries everything), while a
-        declared arrival rebuilds the CDS stage and inherits whatever the
-        link comparison certifies.  Resolved legs inherit through
-        :meth:`~repro.net.paths.PathOracle.inherit_node_add` (paths whose
-        BFS levels provably survived the arrival stay canonical), unless
-        the oracle is shared or was already seeded — the same discipline
-        as :meth:`inherit_edge_delta`.
-        """
-        stats = self._router.inherit_from(old._router)
-        if self._oracle is old._oracle or self._oracle.paths_inherited:
-            stats["legs"] = 0
-        else:
-            stats["legs"] = self._oracle.inherit_node_add(old._oracle)
-        return stats
 
     def route(self, source: NodeId, target: NodeId) -> tuple[NodeId, ...]:
         """One flow's walk, sharing this router's caches."""

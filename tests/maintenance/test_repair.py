@@ -268,7 +268,7 @@ class TestGatewaySplice:
         assert out.spliced
 
         router = BatchRouter(out.backbone)
-        stats = router.inherit_from(old_router, node, frozenset())
+        stats = router.inherit_edge_delta(old_router, (node,))
         assert stats["trees"] > 0  # the mask no longer discards them
 
         gone = {node}

@@ -5,8 +5,8 @@ its inherited caches must be *observationally identical* to a from-scratch
 rebuild — rows, balls, canonical paths and certified sources alike.  The
 randomized equivalence classes here drive arbitrary add/remove deltas
 (including chains, and chains mixed with node removals) against fresh
-rebuilds; the edge-case classes pin the ``inherit_from`` family's corner
-behaviors the ISSUE calls out.
+rebuilds; the edge-case classes pin the corners of node removal — the
+delta that drops every incident edge.
 """
 
 import numpy as np
@@ -215,13 +215,13 @@ class TestOracleDeltaInheritance:
 
 
 class TestInheritFromEdgeCases:
-    """The ``inherit_from`` family's corners the ISSUE calls out."""
+    """Node-removal corners: empty removals, partial rows, path carry."""
 
     def test_without_nodes_empty_removal_set(self):
         g = _random_graph(np.random.default_rng(20), 12)
         g2 = g.without_nodes([])
         assert g2 == g
-        assert g2 is not g  # generic path: a rebuilt, equal graph
+        assert g2 is g  # an empty removal is an empty edge delta
 
     def test_path_oracle_inherit_with_untouched_paths(self):
         topo = random_topology(60, degree=6.0, seed=2)

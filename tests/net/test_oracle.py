@@ -582,9 +582,23 @@ class TestPartialRowInheritance:
         child = LazyDistanceOracle(
             g.without_nodes([1]), row_cache_bytes=3 * row_bytes
         )
-        child.inherit_from(oracle, 1)
+        child.inherit_edge_delta(oracle, [], [(1, v) for v in g.neighbors(1)])
         # pending stale rows obey the same byte discipline as the cache
         assert len(child._partial_rows) <= 3
+
+    def test_partial_rows_count_toward_cached_bytes(self):
+        # Pending partials are held outside the LRU, but they are held:
+        # cached_bytes and its peak must include them.
+        g = toroidal_grid(40, 40).use_distance_backend("lazy")
+        for s in range(200):
+            g.oracle.row(s)
+        g2 = g.without_nodes([5])
+        stats = g2.oracle.stats()
+        pending = stats.rows_partial_inherited
+        assert pending > 150
+        row_bytes = g.n * np.dtype(np.int32).itemsize
+        assert stats.cached_bytes == pending * row_bytes
+        assert stats.peak_cached_bytes >= stats.cached_bytes
 
 
 class TestLineageConservation:

@@ -174,7 +174,9 @@ class TestRouterInheritance:
         outcome = repair(backbone, member)
         assert outcome.action == "none"
         inherited = BatchRouter(outcome.backbone)
-        stats = inherited.inherit_from(router, member, outcome.scope_heads)
+        stats = inherited.inherit_edge_delta(
+            router, (member,), outcome.scope_heads
+        )
         assert stats["head_graph_unchanged"] == 1
         assert stats["trees"] > 0
         assert stats["head_walks"] > 0
@@ -189,7 +191,9 @@ class TestRouterInheritance:
         outcome = repair(backbone, victim)
         assert outcome.backbone is not None
         inherited = BatchRouter(outcome.backbone)
-        stats = inherited.inherit_from(router, victim, outcome.scope_heads)
+        stats = inherited.inherit_edge_delta(
+            router, (victim,), outcome.scope_heads
+        )
         # a recluster rebuilds the head graph: trees must not carry over
         assert stats["head_graph_unchanged"] == 0
         assert stats["trees"] == 0
@@ -211,7 +215,7 @@ class TestRouterInheritance:
                 break
             dead.add(victim)
             nxt = BatchRouter(outcome.backbone)
-            nxt.inherit_from(router, victim, outcome.scope_heads)
+            nxt.inherit_edge_delta(router, (victim,), outcome.scope_heads)
             router, current = nxt, outcome.backbone
             self._assert_identical(current, router, dead)
 

@@ -1,11 +1,12 @@
-"""Router inheritance across node arrivals: ``BatchRouter.inherit_node_add``.
+"""Router inheritance across node arrivals: ``BatchRouter.inherit_edge_delta``.
 
 A member-join arrival leaves the head layer object-identical (the
 backbone is ``dataclasses.replace``d with the extended clustering), so
 the head router's same-object fast path must carry every tree, head
 sequence, and head walk — and the path-oracle legs must survive the
-canonical-walk rules.  Walk identity against a freshly built router is
-the contract.
+canonical-walk rules.  An arrival is an edge delta whose new nodes count
+as touched implicitly, so the inheritance call takes no ``touched``
+argument.  Walk identity against a freshly built router is the contract.
 """
 
 import dataclasses
@@ -48,7 +49,7 @@ class TestRouterNodeAddInheritance:
         backbone2 = dataclasses.replace(backbone, clustering=c2)
         new_paths = PathOracle(g2)
         router2 = BatchRouter(backbone2, oracle=new_paths)
-        stats = router2.inherit_node_add(router)
+        stats = router2.inherit_edge_delta(router)
         assert stats["head_graph_unchanged"] == 1
         assert stats["trees"] == len(router.router._trees)
         assert stats["head_seqs"] == len(router.router._head_seqs)
@@ -68,7 +69,7 @@ class TestRouterNodeAddInheritance:
         backbone2 = dataclasses.replace(backbone, clustering=c2)
         new_paths = PathOracle(g2)
         router2 = BatchRouter(backbone2, oracle=new_paths)
-        router2.inherit_node_add(router)
+        router2.inherit_edge_delta(router)
         wl = uniform_pairs(g2.n, 250, seed=7)  # post-growth address space
         got = router2.route_flows(wl, with_shortest=True)
         fresh = BatchRouter(backbone2).route_flows(wl, with_shortest=True)
@@ -84,7 +85,7 @@ class TestRouterNodeAddInheritance:
         backbone, router, paths = _build(g)
         router.route_flows(uniform_pairs(g.n, 150, seed=9), with_shortest=False)
         router2 = BatchRouter(backbone, oracle=paths)  # same oracle object
-        stats = router2.inherit_node_add(router)
+        stats = router2.inherit_edge_delta(router)
         assert stats["legs"] == 0
 
 
