@@ -5,7 +5,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-all lint typecheck chaos stats serve-demo bench-smoke bench-smoke-ci bench-scaling bench-churn bench-traffic bench-pipeline bench-mobility bench-faults bench-obs bench-service bench-congestion help
+.PHONY: test test-all lint typecheck chaos stats serve-demo perfbench bench-smoke bench-smoke-ci bench-scaling bench-churn bench-traffic bench-pipeline bench-mobility bench-faults bench-obs bench-service bench-congestion help
 
 help:
 	@echo "make test           - tier-1 test suite (tests/ + benchmarks/, -x -q; slow cells skipped)"
@@ -15,8 +15,9 @@ help:
 	@echo "make chaos          - randomized fault campaign (500 events) with per-batch invariant checks"
 	@echo "make stats          - instrumented quick traffic run: metrics registry + span flame summary"
 	@echo "make serve-demo     - long-lived engine service demo: seeded event stream + checkpoints in ./service-demo"
+	@echo "make perfbench      - end-to-end benchmark of BENCHMARK.json (WORKLOAD=all|route-5k|serve-400|mobility-2k|paper-sweep, SEED=1)"
 	@echo "make bench-smoke    - benchmark suite at the reduced REPRO_TRIALS budget"
-	@echo "make bench-smoke-ci - scaling + churn + traffic + pipeline + mobility + obs benchmarks (the CI smoke job)"
+	@echo "make bench-smoke-ci - scaling + churn + traffic + pipeline + mobility + faults + obs + service + congestion benchmarks (the CI smoke job)"
 	@echo "make bench-scaling  - the full N=200..5000 distance-oracle scaling sweep"
 	@echo "make bench-churn    - full churn benchmark (N=2000, 50 failures, >=3x gate)"
 	@echo "make bench-traffic  - full traffic benchmark (N=2000, 10k flows, >=10x gate)"
@@ -51,6 +52,9 @@ stats:
 
 serve-demo:
 	$(PYTHON) -m repro.cli serve --events $${EVENTS:-200} --seed $${SEED:-7} --dir $${DIR:-service-demo}
+
+perfbench:
+	$(PYTHON) -m perfbench.run --workload $${WORKLOAD:-all} --seed $${SEED:-1}
 
 bench-smoke:
 	REPRO_TRIALS=$${REPRO_TRIALS:-2} $(PYTHON) -m pytest benchmarks -q

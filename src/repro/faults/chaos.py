@@ -16,9 +16,11 @@ Invariants checked per batch:
    the fault state's independently book-kept
    :meth:`~repro.faults.plan.FaultState.expected_edges`, and the CSR
    adjacency arrays round-trip to the same normalized edge set
-   (symmetry: every arc has its reverse).
-2. **component-local backbone cover** — a backbone built on the
-   survivors passes the degraded verification battery
+   (symmetry: every arc has its reverse) — the service's
+   :func:`~repro.service.guards.check_csr_symmetry` guard.
+2. **component-local backbone cover** — a backbone built cold on the
+   survivors (:func:`~repro.maintenance.repair.rebuild_survivors`)
+   passes the degraded verification battery
    (:func:`~repro.maintenance.repair._verify_degraded`): per-component
    CDS connectivity, k-hop domination, gateways are members, links
    alive.
@@ -41,19 +43,18 @@ from typing import Optional
 
 import numpy as np
 
-from ..core.clustering import khop_cluster
-from ..core.pipeline import _LOCALIZED, build_backbone
+from ..core.pipeline import _LOCALIZED
 from ..errors import InvalidParameterError, ValidationError
 from ..maintenance.repair import (
-    _strip_nodes,
     _surviving_components,
     _verify_degraded,
+    rebuild_survivors,
 )
 from ..net.topology import random_topology
 from ..obs import span
+from ..service.guards import check_csr_symmetry
 from ..traffic.router import BatchRouter
-from ..traffic.workloads import Workload, make_workload
-from ..types import normalize_edge
+from ..traffic.workloads import make_workload
 from .delivery import LossModel, deliver
 from .plan import FaultState, random_campaign
 
@@ -115,19 +116,6 @@ class ChaosReport:
     def checks_run(self) -> int:
         """Total invariant checks across all batches."""
         return sum(e.checks for e in self.epochs)
-
-
-def _csr_edge_set(graph) -> set | None:
-    """The normalized edge set per the CSR arrays; None on asymmetry."""
-    indptr, indices = graph.csr_adjacency
-    arcs = set()
-    for u in range(graph.n):
-        for v in indices[indptr[u] : indptr[u + 1]].tolist():
-            arcs.add((u, v))
-    for u, v in arcs:
-        if (v, u) not in arcs:
-            return None
-    return {normalize_edge(u, v) for u, v in arcs}
 
 
 def run_chaos(
@@ -243,19 +231,15 @@ def run_chaos(
                         f"missing={missing} extra={extra}"
                     )
                 checks += 1
-                csr_edges = _csr_edge_set(graph)
-                if csr_edges is None:
-                    violate(f"CSR adjacency asymmetric at epoch {epoch}")
-                elif csr_edges != realized:
-                    violate(f"CSR edge set diverges from edge list at epoch {epoch}")
+                csr_problem = check_csr_symmetry(graph)
+                if csr_problem is not None:
+                    violate(f"{csr_problem} at epoch {epoch}")
 
                 # 2 — component-local backbone passes the degraded battery.
                 components = _surviving_components(graph, dead)
-                clustering = khop_cluster(graph, k, require_connected=False)
-                stripped = _strip_nodes(clustering, graph, dead)
                 checks += 1
                 try:
-                    backbone = build_backbone(stripped, algorithm)
+                    backbone = rebuild_survivors(graph, k, algorithm, dead=dead)
                     _verify_degraded(backbone, dead, components)
                 except ValidationError as exc:
                     violate(f"degraded backbone battery failed at epoch {epoch}: {exc}")
@@ -266,17 +250,9 @@ def run_chaos(
                     continue
 
                 # Routable flows: endpoints alive and sharing a component.
-                labels = np.full(graph.n, -1, dtype=np.int64)
-                for i, comp in enumerate(graph.connected_components()):
-                    labels[list(comp)] = i
-                routable = labels[workload.sources] == labels[workload.targets]
-                sub = Workload(
-                    name=workload.name,
-                    n=graph.n,
-                    sources=workload.sources[routable],
-                    targets=workload.targets[routable],
-                    demands=workload.demands[routable],
-                    seed=workload.seed,
+                labels = graph.component_labels()
+                sub = workload.subset(
+                    labels[workload.sources] == labels[workload.targets]
                 )
                 router = BatchRouter(backbone)
 
@@ -289,15 +265,7 @@ def run_chaos(
                     inherited = BatchRouter(backbone)
                     inherited.inherit_edge_delta(prev_router, touched)
                 if inherited is not None:
-                    take = min(sample, sub.num_flows)
-                    probe = Workload(
-                        name=sub.name,
-                        n=graph.n,
-                        sources=sub.sources[:take],
-                        targets=sub.targets[:take],
-                        demands=sub.demands[:take],
-                        seed=sub.seed,
-                    )
+                    probe = sub.subset(slice(min(sample, sub.num_flows)))
                     checks += 1
                     cold = router.route_flows(probe, with_shortest=False)
                     warm = inherited.route_flows(probe, with_shortest=False)

@@ -28,11 +28,11 @@ from typing import Optional
 
 import numpy as np
 
-from ..core.clustering import Clustering, khop_cluster
+from ..core.clustering import khop_cluster
 from ..core.pipeline import BackboneResult, build_backbone
 from ..errors import InvalidParameterError
 from ..net.graph import Graph
-from .repair import RepairOutcome, failure_role, repair
+from .repair import RepairOutcome, failure_role, rebuild_survivors, repair
 
 __all__ = ["ChurnReport", "simulate_churn", "simulate_churn_rebuild"]
 
@@ -168,19 +168,7 @@ def simulate_churn_rebuild(
             report.actions["partition"] += 1
             report.stopped_at = i
             return report
-        reclustered = khop_cluster(reduced, k, require_connected=False)
-        # Dead nodes elect themselves into phantom singleton clusters;
-        # drop them from the head list (the _strip_nodes convention).
-        stripped = Clustering(
-            graph=reduced,
-            k=k,
-            head_of=reclustered.head_of,
-            heads=tuple(h for h in reclustered.heads if h not in dead),
-            rounds=reclustered.rounds,
-            priority_name=reclustered.priority_name,
-            membership_name=reclustered.membership_name,
-        )
-        backbone = build_backbone(stripped, algorithm)
+        backbone = rebuild_survivors(reduced, k, algorithm, dead=dead)
         out = RepairOutcome(
             failed_node=node,
             role=role,

@@ -30,12 +30,14 @@ the clusterhead selection process is also small."
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import AbstractSet, Optional
 
 import numpy as np
 
 from ..core.clustering import Clustering, group_by_assignment, khop_cluster
+from ..core.membership import MembershipPolicy
 from ..core.pipeline import _LOCALIZED, BackboneResult, build_backbone
+from ..core.priorities import PriorityScheme
 from ..core.virtual_graph import VirtualGraph, VirtualLink
 from ..cds.verify import check_gateways_are_members
 from ..errors import (
@@ -57,6 +59,7 @@ __all__ = [
     "failure_role",
     "repair",
     "degraded_repair",
+    "rebuild_survivors",
     "ensure_survivors_connected",
     "clustering_still_valid",
     "delta_path_oracle",
@@ -140,7 +143,7 @@ def _excluded_nodes(clustering: Clustering) -> set[NodeId]:
 
 
 def _strip_nodes(
-    clustering: Clustering, graph2: Graph, gone: set[NodeId]
+    clustering: Clustering, graph2: Graph, gone: AbstractSet[NodeId]
 ) -> Clustering:
     """Clustering on the post-failure graph with ``gone`` nodes excluded."""
     head_of = list(clustering.head_of)
@@ -340,6 +343,34 @@ def _splice_gateway(
         return _verify_and_accept(result, gone)
     except (DisconnectedGraphError, ValidationError):
         return None
+
+
+def rebuild_survivors(
+    graph: Graph,
+    k: int,
+    algorithm: str,
+    *,
+    dead: AbstractSet[NodeId] = frozenset(),
+    priority: PriorityScheme | str | None = None,
+    membership: MembershipPolicy | str | None = None,
+    oracle: Optional[PathOracle] = None,
+) -> BackboneResult:
+    """Re-elect clusterheads over the survivors and build their backbone.
+
+    The §3.3 fallback every maintenance loop shares: cluster each
+    component of ``graph`` on its own (``require_connected=False``),
+    drop the ``dead`` nodes — isolated in ``graph``, they elect
+    themselves into phantom singleton clusters — and build the backbone
+    on ``oracle`` (a fresh one when None).  Verification stays with the
+    caller: a connected survivor graph, a partitioned one and a guard
+    rebuild each check a different contract.
+    """
+    clustering = khop_cluster(
+        graph, k, priority=priority, membership=membership, require_connected=False
+    )
+    return build_backbone(
+        _strip_nodes(clustering, graph, dead), algorithm, oracle=oracle
+    )
 
 
 def ensure_survivors_connected(graph: Graph, gone: set[NodeId]) -> None:
@@ -560,23 +591,17 @@ def _repair_ladder(backbone: BackboneResult, node: NodeId) -> RepairOutcome:
             )
 
     # --- rung 3: clusterhead election re-runs --------------------------- #
-    reclustered = khop_cluster(
-        graph2,
-        clustering.k,
-        membership=clustering.membership_name,
-        require_connected=False,
-    )
-    # Isolated dead nodes elect themselves into phantom singleton
-    # clusters; strip them before building the backbone.
-    stripped = _strip_nodes(reclustered, graph2, gone)
     # The final rung must absorb any failure that leaves the survivors
     # connected; a verification failure here is a defect in the repair
     # machinery, not an environmental condition — surface it as the
     # typed bug class so callers can tell it apart from a partition.
     try:
-        result = build_backbone(
-            stripped,
+        result = rebuild_survivors(
+            graph2,
+            clustering.k,
             backbone.algorithm,
+            dead=gone,
+            membership=clustering.membership_name,
             oracle=_seeded_path_oracle(graph2, backbone, gone),
         )
         _verify_excluding(result, gone)
@@ -636,11 +661,11 @@ def degraded_repair(backbone: BackboneResult, node: NodeId) -> RepairOutcome:
 
     Runs :func:`repair`; when the failure partitioned the survivor
     graph — where the plain ladder gives up with ``backbone=None`` —
-    falls back to *component-local* operation instead: the survivors are
-    re-clustered (``require_connected=False``), a backbone is built with
-    the same localized algorithm (neighbor rules only pair heads within
-    2k+1 hops, so virtual links never cross a partition), and the result
-    is verified per component.  The returned outcome has
+    falls back to *component-local* operation instead:
+    :func:`rebuild_survivors` re-clusters the survivors and builds a
+    backbone with the same localized algorithm (neighbor rules only pair
+    heads within 2k+1 hops, so virtual links never cross a partition),
+    and the result is verified per component.  The returned outcome has
     ``action="degraded"``, ``degraded=True``, the surviving components,
     and a backbone on which same-component flows remain routable —
     cross-component flows must be filtered out by the caller (e.g. via
@@ -667,17 +692,13 @@ def degraded_repair(backbone: BackboneResult, node: NodeId) -> RepairOutcome:
     gone = _excluded_nodes(clustering) | {node}
     graph2 = graph.without_nodes([node])
     components = _surviving_components(graph2, gone)
-    reclustered = khop_cluster(
-        graph2,
-        clustering.k,
-        membership=clustering.membership_name,
-        require_connected=False,
-    )
-    stripped = _strip_nodes(reclustered, graph2, gone)
     try:
-        result = build_backbone(
-            stripped,
+        result = rebuild_survivors(
+            graph2,
+            clustering.k,
             backbone.algorithm,
+            dead=gone,
+            membership=clustering.membership_name,
             oracle=_seeded_path_oracle(graph2, backbone, gone),
         )
         _verify_degraded(result, gone, components)

@@ -374,6 +374,13 @@ class Graph:
         comps.sort(key=lambda c: (-len(c), c))
         return comps
 
+    def component_labels(self) -> np.ndarray:
+        """Per-node index into :meth:`connected_components` (uncached)."""
+        labels = np.full(self._n, -1, dtype=np.int64)
+        for i, comp in enumerate(self.connected_components()):
+            labels[list(comp)] = i
+        return labels
+
     def is_connected_subset(self, nodes: Iterable[NodeId]) -> bool:
         """Whether the subgraph induced by ``nodes`` is connected.
 

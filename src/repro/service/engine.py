@@ -1,9 +1,10 @@
 """The long-lived engine: a supervised, event-driven service loop.
 
-:class:`ServiceEngine` holds one live network (topology, clustering,
-backbone, batch router, shared path oracle) and folds a stream of
-:class:`~repro.service.events.ServiceEvent` through the incremental
-ladder the earlier layers provide:
+:class:`ServiceEngine` holds one live network — the topology plus one
+:class:`~repro.traffic.router.BatchRouter`, whose backbone, clustering
+and shared path oracle are read-only views — and folds a stream of
+:class:`~repro.service.events.ServiceEvent` through the maintenance step
+the other driver loops share (:mod:`repro.maintenance.step`):
 
 * ``join`` — :meth:`~repro.net.topology.Topology.with_node`-style
   unit-disk attachment (dead nodes excluded), admission through
@@ -11,32 +12,31 @@ ladder the earlier layers provide:
   whole CDS stage (``dataclasses.replace`` of the backbone) and rebinds
   the live router in place via
   :meth:`~repro.traffic.router.BatchRouter.admit_member` (O(1), head
-  layer kept verbatim, legs re-resolved on demand); a declared arrival
-  rebuilds only the backbone stage, carrying head-graph trees.
-  A member join whose attach links *bridge previously separate
-  components* (an earlier arrival landed in a radio hole, a later one
-  wires it back) also rebuilds the backbone stage: the graph becomes one
-  component, and the head graph needs virtual links across the bridge
-  that no replace-the-clustering fast path can supply.  Bridges are
-  detected from an incrementally maintained component labeling
-  (O(attach) per join; recomputed after edge-removing events).
+  layer kept verbatim, legs re-resolved on demand).  A declared
+  arrival — or a member join whose attach links *bridge previously
+  separate components* (an earlier arrival landed in a radio hole, a
+  later one wires it back; detected from an incrementally maintained
+  component labeling, O(attach) per join) — is an edge delta to
+  :func:`~repro.maintenance.step.carry_delta` with nothing touched but
+  the new node.
 * ``leave`` — the §3.3 repair ladder with the
-  :func:`~repro.maintenance.repair.degraded_repair` floor, router caches
-  carried across through
-  :meth:`~repro.traffic.router.BatchRouter.inherit_edge_delta` (splices
-  keep the whole head layer — see the gateway splice contract in
-  :mod:`repro.traffic.lifetime`).
+  :func:`~repro.maintenance.repair.degraded_repair` floor, the router
+  carried across by :func:`~repro.maintenance.step.carry_repair`.
 * ``move`` / ``link_down`` / ``link_up`` — unit-disk edge deltas through
-  :meth:`~repro.net.graph.Graph.with_edge_delta`, backbone rebuilt on a
-  delta-seeded path oracle when the cover survives, scoped recluster
-  fallback when it does not.
+  :meth:`~repro.net.graph.Graph.with_edge_delta`; when the cover
+  survives, :func:`~repro.maintenance.step.carry_delta` rebuilds the
+  backbone on carried paths.
 * ``degrade`` — per-link loss overrides folded into the delivery model.
 * ``flow`` — a uniform workload routed over the live backbone and
   (when loss is configured) pushed through lossy delivery with retries.
 
-The steady state never re-runs the global clustering algorithm: only a
-guard trip or a cover-breaking motion falls back to
-``khop_cluster(require_connected=False)``, and both are counted
+Both carries publish the router's inheritance counters as
+``router.inherit.*``; ``carry_delta`` merges heads an arrival or an edge
+addition pulled within ``k`` (``service.head_merges``).  The steady
+state never re-runs the global clustering algorithm: only a guard trip,
+a cover-breaking motion, or a backbone stage that fails even after the
+merge falls back to :func:`~repro.maintenance.repair.rebuild_survivors`
+on the current graph, and each is counted
 (``service.rebuild_fallbacks``).  Invariant guards
 (:func:`~repro.service.guards.run_guards`) run after structural events;
 a violation becomes a structured incident plus that same scoped rebuild
@@ -62,28 +62,24 @@ import zlib
 from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Optional, Sequence, Union
+from typing import Any, Collection, Optional, Sequence, Union
 
 import numpy as np
 
-from ..core.clustering import (
-    Clustering,
-    admit_nodes,
-    khop_cluster,
-    resolve_head_conflicts,
-)
+from ..core.clustering import Clustering, admit_nodes, khop_cluster
 from ..core.pipeline import _LOCALIZED, BackboneResult, build_backbone
 from ..errors import InvalidParameterError, ValidationError
 from ..maintenance.repair import (
     clustering_still_valid,
     degraded_repair,
-    delta_path_oracle,
+    rebuild_survivors,
 )
+from ..maintenance.step import carry_delta, carry_repair
 from ..net.graph import Graph
 from ..net.paths import PathOracle
 from ..net.topology import Topology, random_topology
 from ..obs import counter as obs_counter
-from ..obs import publish_counters, span
+from ..obs import span
 from ..traffic.router import BatchRouter
 from ..traffic.workloads import make_workload
 from ..types import Edge, normalize_edge
@@ -220,8 +216,9 @@ class ServiceEngine:
     Build fresh from a :class:`ServiceConfig` (optionally with a
     durability ``directory``), or restore via :meth:`from_state` /
     :func:`~repro.service.recovery.recover`.  Feed events through
-    :meth:`apply`; read the world back through ``graph`` /
-    ``clustering`` / ``backbone`` / ``router`` and :meth:`report`.
+    :meth:`apply`; read the world back through ``graph``, ``router``
+    and :meth:`report`.  ``router`` is the one live routing structure:
+    ``backbone``, ``clustering`` and ``paths`` are read-only views of it.
     """
 
     def __init__(
@@ -247,15 +244,14 @@ class ServiceEngine:
         if _defer:  # from_state fills the live structures itself
             return
         self.topology = _initial_topology(config)
-        self.clustering = khop_cluster(
-            self.topology.graph, config.k, engine="batched"
+        g = self.topology.graph
+        clustering = khop_cluster(g, config.k, engine="batched")
+        paths = PathOracle(g)
+        self.router = BatchRouter(
+            build_backbone(clustering, config.algorithm, oracle=paths),
+            oracle=paths,
         )
-        self.paths = PathOracle(self.topology.graph)
-        self.backbone = build_backbone(
-            self.clustering, config.algorithm, oracle=self.paths
-        )
-        self.router = BatchRouter(self.backbone, oracle=self.paths)
-        self.n_struct = self.topology.graph.n
+        self.n_struct = g.n
 
     # ----------------------------------------------------------------- #
     # views
@@ -265,6 +261,21 @@ class ServiceEngine:
     def graph(self) -> Graph:
         """The live connectivity graph."""
         return self.topology.graph
+
+    @property
+    def backbone(self) -> BackboneResult:
+        """The live backbone (the router's)."""
+        return self.router.result
+
+    @property
+    def clustering(self) -> Clustering:
+        """The live clustering (the backbone's)."""
+        return self.router.result.clustering
+
+    @property
+    def paths(self) -> PathOracle:
+        """The live canonical-path oracle (the router's)."""
+        return self.router.path_oracle
 
     @property
     def alive(self) -> int:
@@ -349,7 +360,6 @@ class ServiceEngine:
         )
         self._extend_component_labels(labels, attach_roots)
         c2 = admit_nodes(self.clustering, g2)
-        self.clustering = c2
         is_member = x not in set(c2.heads)
         if is_member and len(attach_roots) <= 1:
             # Member join: the CDS stage is untouched, so the live router
@@ -357,43 +367,25 @@ class ServiceEngine:
             # verbatim — O(1) where copy-and-verify inheritance would pay
             # O(cache) at every one of thousands of arrivals.  The leg
             # oracle starts fresh: legs re-resolve canonically on demand.
-            backbone2 = dataclasses.replace(self.backbone, clustering=c2)
-            paths2 = PathOracle(g2)
-            self.router.admit_member(backbone2, paths2)
-            router2 = self.router
-            self.counts["joins_admitted"] += 1
-            obs_counter("service.joins_admitted").add()
+            self.router.admit_member(
+                dataclasses.replace(self.backbone, clustering=c2),
+                PathOracle(g2),
+            )
+            self._count("joins_admitted")
+            return
+        # Declared arrival (the head set changed) — or a member join whose
+        # attach links bridge previously separate components, where the
+        # head graph needs virtual links across the bridge that reusing
+        # the old link set cannot supply.  Either way the backbone stage
+        # rebuilds through the maintenance step, an arrival being an
+        # edge delta with nothing touched but the new node.
+        if not self._carry_delta(c2, (), event):
+            return
+        if is_member:
+            self._count("joins_admitted")
+            self._count("component_bridges")
         else:
-            # Declared arrival (the head set changed) — or a member join
-            # whose attach links bridge previously separate components,
-            # where the head graph needs virtual links across the bridge
-            # that reusing the old link set cannot supply.  Either way
-            # the backbone stage rebuilds on a fresh path oracle — the
-            # grown graph starts row-cold, and the path certificate needs
-            # resident rows once an arrival adds edges — with head-graph
-            # trees carried where the link certificates hold.
-            paths2 = PathOracle(g2)
-            built = self._build_with_merge(c2, paths2, event)
-            if built is None:
-                return
-            backbone2, c2 = built
-            self.clustering = c2
-            router2 = BatchRouter(backbone2, oracle=paths2)
-            router2.router.inherit_from(self.router.router)
-            self.n_struct = g2.n
-            self.counts["backbone_rebuilds"] += 1
-            obs_counter("service.backbone_rebuilds").add()
-            if is_member:
-                self.counts["joins_admitted"] += 1
-                self.counts["component_bridges"] += 1
-                obs_counter("service.joins_admitted").add()
-                obs_counter("service.component_bridges").add()
-            else:
-                self.counts["heads_declared"] += 1
-                obs_counter("service.heads_declared").add()
-        self.backbone = backbone2
-        self.router = router2
-        self.paths = paths2
+            self._count("heads_declared")
 
     def _handle_leave(self, event: ServiceEvent) -> None:
         x = event.node
@@ -405,34 +397,19 @@ class ServiceEngine:
         try:
             outcome = degraded_repair(self.backbone, x)
         except ValidationError as exc:
-            self._incident(
-                GuardIncident("backbone", str(exc), event.seq, event.kind)
-            )
-            self._scoped_rebuild(event)
+            # The ladder raised before handing back its post-departure
+            # graph: cut the node's links here, or the fallback would
+            # re-elect it and route members through a dead head.
+            self._set_graph(self.graph.without_nodes([x]))
+            self._fall_back(event, "backbone", str(exc))
             return
         self.counts["repairs"] += 1
         self.counts[f"repair.{outcome.action}"] += 1
         if outcome.action == "degraded":
             self.counts["khop_reruns"] += 1
-        backbone2 = outcome.backbone
-        if backbone2 is None:  # pragma: no cover - degraded floor covers it
-            self._scoped_rebuild(event)
-            return
-        g2 = backbone2.clustering.graph
-        router2 = BatchRouter(backbone2)
-        # A splice reuses the old head layer wholesale — scope_heads would
-        # only invalidate trees the per-tree link certificates already
-        # re-verify (see the gateway-splice walk-identity contract).
-        changed = frozenset() if outcome.spliced else outcome.scope_heads
-        stats = router2.inherit_edge_delta(self.router, (x,), changed)
-        publish_counters("service.leave_inherit", stats)
-        self.topology = replace(self.topology, graph=g2)
-        self._comp_labels = None
-        self.clustering = backbone2.clustering
-        self.backbone = backbone2
-        self.router = router2
-        self.paths = router2.path_oracle
-        self.n_struct = g2.n
+        self.router, _ = carry_repair(self.router, outcome)
+        self._set_graph(self.clustering.graph)
+        self.n_struct = self.graph.n
 
     def _handle_move(self, event: ServiceEvent) -> None:
         x = event.node
@@ -487,12 +464,7 @@ class ServiceEngine:
             alive_mask[sorted(self.dead)] = False
             ok &= alive_mask[workload.sources]
             ok &= alive_mask[workload.targets]
-        sub = replace(
-            workload,
-            sources=workload.sources[ok],
-            targets=workload.targets[ok],
-            demands=workload.demands[ok],
-        )
+        sub = workload.subset(ok)
         delivered = 1.0
         walks_crc = 0
         if sub.num_flows:
@@ -521,8 +493,7 @@ class ServiceEngine:
                 "walks_crc": int(walks_crc),
             }
         )
-        self.counts["flows_routed"] += int(sub.num_flows)
-        obs_counter("service.flows_routed").add(int(sub.num_flows))
+        self._count("flows_routed", int(sub.num_flows))
 
     # ----------------------------------------------------------------- #
     # structural helpers
@@ -541,10 +512,7 @@ class ServiceEngine:
         """
         labels = self._comp_labels
         if labels is None or len(labels) != self.graph.n:
-            labels = np.full(self.graph.n, -1, dtype=np.int64)
-            for i, comp in enumerate(self.graph.connected_components()):
-                labels[list(comp)] = i
-            self._comp_labels = labels
+            labels = self._comp_labels = self.graph.component_labels()
         return labels
 
     def _extend_component_labels(
@@ -581,105 +549,80 @@ class ServiceEngine:
         self, added: set[Edge], removed: set[Edge], event: ServiceEvent
     ) -> None:
         """Fold an edge delta through the incremental backbone path."""
-        g = self.graph
-        g2 = g.with_edge_delta(added, removed)
-        if g2 is g:
+        g2 = self.graph.with_edge_delta(added, removed)
+        if g2 is self.graph:
             self.counts["skipped"] += 1
             return
-        self.topology = replace(self.topology, graph=g2)
-        self._comp_labels = None
+        self._set_graph(g2)
         c2 = dataclasses.replace(self.clustering, graph=g2)
-        self.clustering = c2
         if not clustering_still_valid(c2, g2, exclude=self.dead):
-            self._incident(
-                GuardIncident(
-                    "cover",
-                    "edge delta broke the k-hop cover; scoped recluster",
-                    event.seq,
-                    event.kind,
-                )
+            self._fall_back(
+                event,
+                "cover",
+                "edge delta broke the k-hop cover; scoped recluster",
             )
-            self._scoped_rebuild(event)
             return
-        touched = {u for e in added | removed for u in e}
-        paths2 = delta_path_oracle(g2, self.paths, touched)
-        built = self._build_with_merge(c2, paths2, event)
-        if built is None:
-            return
-        backbone2, c2 = built
-        self.clustering = c2
-        router2 = BatchRouter(backbone2, oracle=paths2)
-        stats = router2.inherit_edge_delta(self.router, touched)
-        publish_counters("service.delta_inherit", stats)
-        self.backbone = backbone2
-        self.router = router2
-        self.paths = paths2
-        self.n_struct = g2.n
-        self.counts["backbone_rebuilds"] += 1
-        obs_counter("service.backbone_rebuilds").add()
+        self._carry_delta(c2, {u for e in added | removed for u in e}, event)
 
-    def _build_with_merge(
-        self, c: Clustering, oracle: PathOracle, event: ServiceEvent
-    ) -> Optional[tuple[BackboneResult, Clustering]]:
-        """``build_backbone`` with the head-merge retry.
+    def _set_graph(self, graph: Graph) -> None:
+        """Install a structurally changed graph; component labels reset."""
+        self.topology = replace(self.topology, graph=graph)
+        self._comp_labels = None
 
-        Arrivals and edge additions shorten distances, so two heads can
-        drift within ``k`` of each other — the backbone stage then
-        rejects the clustering ("virtual link passes through a
-        clusterhead").  The local response is
-        :func:`~repro.core.clustering.resolve_head_conflicts` (demote
-        the newer of the pair, re-admit its members) and one retry; only
-        if even the merged clustering fails does this degrade to the
-        scoped-rebuild fallback, logging the incident.  Returns None
-        when the fallback already installed the new state.
+    def _count(self, name: str, n: int = 1) -> None:
+        """Bump one run counter and its ``service.*`` metric."""
+        self.counts[name] += n
+        obs_counter(f"service.{name}").add(n)
+
+    def _carry_delta(
+        self,
+        clustering: Clustering,
+        touched: Collection[int],
+        event: ServiceEvent,
+    ) -> bool:
+        """Install the maintenance step's router for ``clustering``.
+
+        :func:`~repro.maintenance.step.carry_delta` rebuilds the backbone
+        stage on carried paths, merging heads the change pulled within
+        ``k``; when even the merged clustering fails, the incident is
+        logged and the scoped rebuild installs the state instead
+        (returns False).
         """
         try:
-            return build_backbone(c, self.config.algorithm, oracle=oracle), c
+            router, _ = carry_delta(self.router, clustering, touched)
         except ValidationError as exc:
-            merged = resolve_head_conflicts(c)
-            if merged is not c:
-                try:
-                    result = build_backbone(
-                        merged, self.config.algorithm, oracle=oracle
-                    )
-                except ValidationError as exc2:
-                    exc = exc2
-                else:
-                    self.counts["head_merges"] += 1
-                    obs_counter("service.head_merges").add()
-                    return result, merged
-            self._incident(
-                GuardIncident("backbone", str(exc), event.seq, event.kind)
-            )
-            self._scoped_rebuild(event)
-            return None
+            self._fall_back(event, "backbone", str(exc))
+            return False
+        if router.result.clustering is not clustering:
+            self._count("head_merges")
+        self.router = router
+        self.n_struct = self.graph.n
+        self._count("backbone_rebuilds")
+        return True
+
+    def _fall_back(self, event: ServiceEvent, guard: str, message: str) -> None:
+        """Log one incident, then fall back to the scoped rebuild."""
+        self._incident(GuardIncident(guard, message, event.seq, event.kind))
+        self._scoped_rebuild(event)
 
     def _scoped_rebuild(self, event: ServiceEvent) -> None:
         """The guard/fallback floor: recluster survivors, keep serving."""
-        from ..maintenance.repair import _strip_nodes
-
         g = self.graph
         with span("service.rebuild_fallback", n=g.n, seq=event.seq):
-            fresh = khop_cluster(
+            paths = PathOracle(g)
+            backbone = rebuild_survivors(
                 g,
                 self.config.k,
+                self.config.algorithm,
+                dead=self.dead,
                 priority=self.clustering.priority_name,
                 membership=self.clustering.membership_name,
-                require_connected=False,
+                oracle=paths,
             )
-            stripped = _strip_nodes(fresh, g, set(self.dead))
-            paths = PathOracle(g)
-            backbone = build_backbone(
-                stripped, self.config.algorithm, oracle=paths
-            )
-            self.clustering = stripped
-            self.backbone = backbone
-            self.paths = paths
             self.router = BatchRouter(backbone, oracle=paths)
             self.n_struct = g.n
-        self.counts["rebuild_fallbacks"] += 1
+        self._count("rebuild_fallbacks")
         self.counts["khop_reruns"] += 1
-        obs_counter("service.rebuild_fallbacks").add()
 
     def _run_guards(self, event: ServiceEvent) -> None:
         incidents = run_guards(
@@ -698,8 +641,7 @@ class ServiceEngine:
 
     def _incident(self, incident: GuardIncident) -> None:
         self.incidents.append(incident)
-        self.counts["guard_trips"] += 1
-        obs_counter("service.guard_trips").add()
+        self._count("guard_trips")
         obs_counter(f"service.guard_trips.{incident.guard}").add()
         if self.directory is not None:
             path = self.directory / INCIDENT_LOG_NAME
@@ -754,8 +696,7 @@ class ServiceEngine:
                 knobs=self.config.to_record(),
             )
         nbytes = path.stat().st_size
-        self.counts["checkpoints"] += 1
-        obs_counter("service.checkpoints").add()
+        self._count("checkpoints")
         obs_counter("service.checkpoint_bytes").add(int(nbytes))
         return path
 
@@ -797,7 +738,6 @@ class ServiceEngine:
             priority_name=state["priority"],
             membership_name=state["membership"],
         )
-        engine.clustering = clustering
         n_struct = int(state["n_struct"])
         engine.n_struct = n_struct
         if n_struct == n:
@@ -819,9 +759,7 @@ class ServiceEngine:
         backbone = build_backbone(struct_clustering, config.algorithm)
         if struct_clustering is not clustering:
             backbone = dataclasses.replace(backbone, clustering=clustering)
-        engine.backbone = backbone
-        engine.paths = PathOracle(g)
-        engine.router = BatchRouter(backbone, oracle=engine.paths)
+        engine.router = BatchRouter(backbone, oracle=PathOracle(g))
         engine.dead = {int(u) for u in state["dead"]}
         engine.loss = {
             normalize_edge(int(u), int(v)): float(p)

@@ -37,14 +37,14 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (faults -> traffic)
     from ..faults.delivery import LossModel
 
-from ..core.clustering import Clustering, khop_cluster
-from ..core.pipeline import BackboneResult, build_backbone
+from ..core.pipeline import BackboneResult
 from ..core.priorities import ResidualEnergy
 from ..errors import InvalidParameterError
-from ..maintenance.repair import repair
+from ..maintenance.repair import rebuild_survivors, repair
+from ..maintenance.step import carry_repair
 from ..net.energy import EnergyModel, EnergyParams
 from ..net.graph import Graph
-from ..obs import publish_counters, span
+from ..obs import span
 from .congestion import CongestionModel
 from .load import lossy_load, measure_load
 from .router import BatchRouter
@@ -144,22 +144,6 @@ class LifetimeReport:
         )
 
 
-def _strip_dead(clustering: Clustering, dead: set[int]) -> Clustering:
-    """Drop dead (isolated, self-elected) nodes from a fresh clustering."""
-    head_of = list(clustering.head_of)
-    for u in dead:
-        head_of[u] = u
-    return Clustering(
-        graph=clustering.graph,
-        k=clustering.k,
-        head_of=tuple(head_of),
-        heads=tuple(h for h in clustering.heads if h not in dead),
-        rounds=clustering.rounds,
-        priority_name=clustering.priority_name,
-        membership_name=clustering.membership_name,
-    )
-
-
 def simulate_traffic_lifetime(
     graph: Graph,
     k: int,
@@ -239,17 +223,16 @@ def simulate_traffic_lifetime(
 
     for epoch in range(epochs):
         with span("epoch", scheme=scheme, epoch=epoch):
-            if backbone is None or scheme == "energy":
+            if router is None or scheme == "energy":
                 priority = (
                     ResidualEnergy(model.residuals()) if scheme == "energy" else None
                 )
-                clustering = khop_cluster(
-                    current, k, priority=priority, require_connected=False
+                router = BatchRouter(
+                    rebuild_survivors(
+                        current, k, algorithm, dead=dead, priority=priority
+                    )
                 )
-                backbone = build_backbone(_strip_dead(clustering, dead), algorithm)
-                router = BatchRouter(backbone)
-            elif router is None:  # pragma: no cover - defensive
-                router = BatchRouter(backbone)
+            backbone = router.result
             # Snapshot before the deaths loop: repairs may change the heads,
             # but *these* are the nodes that carried this epoch's traffic.
             epoch_heads = backbone.heads
@@ -307,7 +290,6 @@ def simulate_traffic_lifetime(
                 if outcome.partitioned:
                     partitioned = True
                     break
-                old_router = router
                 backbone = outcome.backbone
                 current = backbone.clustering.graph
                 if scheme == "static":
@@ -315,23 +297,10 @@ def simulate_traffic_lifetime(
                     # carry the routing layer across instead of rebuilding.
                     # Under rotation the next epoch re-elects heads anyway,
                     # so inheriting would be wasted work.
-                    router = BatchRouter(backbone)
-                    # A spliced repair (member fast path or gateway
-                    # splice) is routing-indistinguishable from a
-                    # rebuild — link set and weights are identical —
-                    # so the conservative changed-heads mask would only
-                    # discard state the structural comparison certifies.
-                    changed = (
-                        frozenset() if outcome.spliced
-                        else outcome.scope_heads
-                    )
-                    inherited = router.inherit_edge_delta(
-                        old_router, (node,), changed
-                    )
+                    router, inherited = carry_repair(router, outcome)
                     if inherited["head_graph_unchanged"]:
                         report.router_rebuilds_avoided += 1
                     report.router_legs_inherited += inherited["legs"]
-                    publish_counters("router.inherit", inherited)
 
             residuals = model.residuals()
             alive_res = residuals[alive] if alive.any() else residuals

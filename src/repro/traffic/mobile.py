@@ -19,11 +19,11 @@ Two engines produce **walk-identical** results (the acceptance gate of
   snapshot's unit-disk edge set is diffed against the previous graph
   (:func:`~repro.net.mobility.snapshot_edge_delta`) and applied through
   :meth:`Graph.with_edge_delta`, so distance rows/balls inherit under the
-  valid-prefix rules; canonical paths (virtual links *and* member<->head
-  legs share one :class:`~repro.net.paths.PathOracle`) inherit through
-  :func:`~repro.maintenance.repair.delta_path_oracle`; and the head-graph
-  routing layer inherits through
-  :meth:`~repro.traffic.router.BatchRouter.inherit_edge_delta`.
+  valid-prefix rules; then the maintenance step
+  :func:`~repro.maintenance.step.carry_delta` carries canonical paths
+  (virtual links *and* member<->head legs share one
+  :class:`~repro.net.paths.PathOracle`) and the head-graph routing layer
+  onto the snapshot's backbone.
   Clusterhead election re-runs deterministically every snapshot (the
   batched engine is cheap, and keeping a merely-still-valid old
   clustering would diverge from the rebuild baseline).
@@ -53,7 +53,8 @@ from ..analysis.stats import jaccard_distance
 from ..core.clustering import khop_cluster
 from ..core.pipeline import _LOCALIZED, BackboneResult, build_backbone
 from ..errors import InvalidParameterError
-from ..maintenance.repair import delta_path_oracle
+from ..maintenance.repair import rebuild_survivors
+from ..maintenance.step import carry_delta
 from ..net.graph import Graph
 from ..net.mobility import RandomWaypoint, snapshot_edge_delta
 from ..net.oracle import DIST_DTYPE, LazyDistanceOracle
@@ -182,14 +183,6 @@ class MobileTrafficReport:
         return float(np.mean([e.delivered for e in self.epochs]))
 
 
-def _component_labels(graph: Graph) -> np.ndarray:
-    """Per-node connected-component labels (arbitrary but consistent)."""
-    labels = np.full(graph.n, -1, dtype=np.int64)
-    for i, comp in enumerate(graph.connected_components()):
-        labels[list(comp)] = i
-    return labels
-
-
 def route_degraded(
     graph: Graph,
     k: int,
@@ -199,8 +192,9 @@ def route_degraded(
 ) -> tuple[BackboneResult, RoutedFlows]:
     """Component-local routing over a disconnected snapshot.
 
-    Clusters every surviving component (``require_connected=False``),
-    builds one backbone spanning them all — localized algorithms only:
+    Clusters every surviving component and builds one backbone spanning
+    them all (:func:`~repro.maintenance.repair.rebuild_survivors`) —
+    localized algorithms only:
     G-MST needs the global metric closure, which does not exist on a
     disconnected graph — and routes the flows whose endpoints share a
     component.  Cross-component flows get single-node placeholder walks
@@ -217,19 +211,12 @@ def route_degraded(
             f"degraded routing needs a localized algorithm "
             f"(one of {sorted(_LOCALIZED)}), got {algorithm!r}"
         )
-    labels = _component_labels(graph)
+    labels = graph.component_labels()
     routable = labels[workload.sources] == labels[workload.targets]
-    sub = Workload(
-        name=workload.name,
-        n=workload.n,
-        sources=workload.sources[routable],
-        targets=workload.targets[routable],
-        demands=workload.demands[routable],
-        seed=workload.seed,
+    backbone = rebuild_survivors(graph, k, algorithm)
+    routed_sub = BatchRouter(backbone).route_flows(
+        workload.subset(routable), with_shortest=True
     )
-    clustering = khop_cluster(graph, k, require_connected=False)
-    backbone = build_backbone(clustering, algorithm)
-    routed_sub = BatchRouter(backbone).route_flows(sub, with_shortest=True)
 
     idx = np.flatnonzero(routable)
     walks: list[tuple[int, ...]] = [
@@ -319,7 +306,6 @@ def simulate_mobile_traffic(
     if collect_walks:
         report.walks = []
 
-    prev_paths: Optional[PathOracle] = None
     prev_router: Optional[BatchRouter] = None
     prev_heads: Optional[set] = None
     # Touched nodes of every delta since the last *routed* snapshot: a
@@ -372,7 +358,7 @@ def simulate_mobile_traffic(
                     pending_touched.update(x for e in removed for x in e)
 
                 if not graph.is_connected():
-                    delivered = workload.delivered_fraction(_component_labels(graph))
+                    delivered = workload.delivered_fraction(graph.component_labels())
                     outage += 1
                     if degraded:
                         dg_backbone, dg_routed = route_degraded(
@@ -433,18 +419,20 @@ def simulate_mobile_traffic(
                     report.recovery_times.append(outage)
                     outage = 0
                 clustering = khop_cluster(graph, k)
-                if engine == "delta" and prev_paths is not None:
-                    paths = delta_path_oracle(graph, prev_paths, pending_touched)
-                    report.paths_inherited += paths.paths_inherited
-                else:
-                    paths = PathOracle(graph)
-                backbone = build_backbone(clustering, algorithm, oracle=paths)
-                router = BatchRouter(backbone, oracle=paths)
                 if engine == "delta" and prev_router is not None:
-                    stats = router.inherit_edge_delta(prev_router, pending_touched)
+                    router, stats = carry_delta(
+                        prev_router, clustering, pending_touched
+                    )
+                    report.paths_inherited += stats["paths"]
                     if stats["head_graph_unchanged"]:
                         report.router_rebuilds_avoided += 1
-                    publish_counters("router.inherit", stats)
+                else:
+                    paths = PathOracle(graph)
+                    router = BatchRouter(
+                        build_backbone(clustering, algorithm, oracle=paths),
+                        oracle=paths,
+                    )
+                backbone = router.result
                 pending_touched = set()
 
                 routed = router.route_flows(workload, with_shortest=True)
@@ -475,7 +463,7 @@ def simulate_mobile_traffic(
                 )
                 if collect_walks:
                     report.walks.append(routed.walks)
-                prev_paths, prev_router, prev_heads = paths, router, heads
+                prev_router, prev_heads = router, heads
     return report
 
 

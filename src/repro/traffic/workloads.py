@@ -113,7 +113,10 @@ class Workload:
             raise InvalidParameterError(
                 f"alive mask must have shape ({self.n},), got {mask.shape}"
             )
-        keep = mask[self.sources] & mask[self.targets]
+        return self.subset(mask[self.sources] & mask[self.targets])
+
+    def subset(self, keep: np.ndarray | slice) -> "Workload":
+        """The flows ``keep`` selects (a boolean mask, indices or a slice)."""
         return Workload(
             name=self.name,
             n=self.n,

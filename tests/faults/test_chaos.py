@@ -85,13 +85,18 @@ class TestRenderChaos:
         assert "repro-khop chaos --seed 4" in text
 
 
+def _asymmetric(graph):
+    """A CSR guard that always reports the asymmetry it exists to catch."""
+    return "CSR adjacency asymmetric: arc (0, 1) has no reverse"
+
+
 class TestTraceRepro:
     def test_violation_repro_line_carries_trace_flag(self, monkeypatch):
         # Force invariant 1's CSR check to fail so violate() runs; a
         # traced campaign's repro line must name the trace artifact.
         from repro.faults import chaos as chaos_mod
 
-        monkeypatch.setattr(chaos_mod, "_csr_edge_set", lambda graph: None)
+        monkeypatch.setattr(chaos_mod, "check_csr_symmetry", _asymmetric)
         report = run_chaos(
             seed=4, events=30, n=50, flows=60, trace_path="run.jsonl"
         )
@@ -103,7 +108,7 @@ class TestTraceRepro:
     def test_untraced_repro_line_has_no_trace_flag(self, monkeypatch):
         from repro.faults import chaos as chaos_mod
 
-        monkeypatch.setattr(chaos_mod, "_csr_edge_set", lambda graph: None)
+        monkeypatch.setattr(chaos_mod, "check_csr_symmetry", _asymmetric)
         report = run_chaos(seed=4, events=30, n=50, flows=60)
         assert not report.ok
         assert "--trace" not in report.violations[0]

@@ -1,6 +1,7 @@
 """The service loop itself: growth, repair, guards, flows, counters."""
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from repro.service.engine import (
     run_service,
 )
 from repro.service.events import ServiceEvent, seeded_schedule
+from repro.traffic.workloads import make_workload
 
 GROWTH_WEIGHTS = {
     "join": 0.5,
@@ -180,6 +182,45 @@ class TestDepartures:
         engine.apply(ServiceEvent(seq=0, kind="join", position=pos))
         x = engine.graph.n - 1
         assert victim not in engine.graph.neighbors(x)
+
+    @pytest.mark.parametrize("seed", range(1, 9))
+    def test_failed_repair_fallback_cuts_the_departed_head(
+        self, monkeypatch, seed
+    ):
+        # When the repair ladder raises, the scoped rebuild must run on
+        # the post-departure graph: a still-wired node could be elected
+        # head again and strand its members behind a dead radio.
+        from repro.errors import RepairError
+        from repro.service import engine as engine_mod
+        from repro.service.guards import run_guards
+
+        def failing_repair(backbone, node):
+            raise RepairError(f"forced failure removing {node}")
+
+        engine = ServiceEngine(_config(n=80, seed=seed))
+        sizes = Counter(engine.clustering.head_of)
+        x = max(engine.clustering.heads, key=lambda h: (sizes[h], -h))
+        monkeypatch.setattr(engine_mod, "degraded_repair", failing_repair)
+        engine.apply(ServiceEvent(seq=0, kind="leave", node=x))
+        assert engine.graph.neighbors(x) == ()
+        assert x not in engine.clustering.heads
+        assert run_guards(
+            engine.graph,
+            engine.clustering,
+            engine.backbone,
+            engine.dead,
+            seq=1,
+            kind="leave",
+        ) == []
+        engine.apply(ServiceEvent(seq=0, kind="flow", flows=30))
+        assert engine.history[-1]["flows"] > 0
+        workload = make_workload("uniform", engine.graph.n, 30, seed=seed)
+        alive = np.ones(engine.graph.n, dtype=bool)
+        alive[x] = False
+        routed = engine.router.route_flows(
+            workload.restrict(alive), with_shortest=False
+        )
+        assert all(x not in walk for walk in routed.walks)
 
 
 class TestGuardsAndIncidents:

@@ -1,0 +1,175 @@
+"""Pinned outputs of the driver loops that share the maintenance step.
+
+The service, mobility, lifetime, chaos and churn loops all re-elect
+clusterheads through
+:func:`~repro.maintenance.repair.rebuild_survivors` and carry routers
+through :mod:`repro.maintenance.step`.  These digests pin what each loop
+produces, so a change to that shared step cannot move an output
+unnoticed.  Only ints, bools, strings, tuples and floats rounded to six
+places enter a digest, so the values do not depend on numpy's reprs.
+"""
+
+import dataclasses
+import zlib
+
+import numpy as np
+import pytest
+
+from repro.faults.chaos import run_chaos
+from repro.maintenance.churn import simulate_churn, simulate_churn_rebuild
+from repro.net.topology import random_topology
+from repro.service.engine import ServiceConfig, run_service
+from repro.traffic.lifetime import compare_rotation_under_traffic
+from repro.traffic.mobile import simulate_mobile_traffic
+from repro.traffic.workloads import make_workload
+
+#: Digests recorded before the loops shared the maintenance step.
+PINNED = {
+    "service.counts": "cdebcdaa",
+    "mobility.skip.epochs": "22815d09",
+    "mobility.skip.counters": "3ffc67d7",
+    "mobility.skip.walks": "39e18e7d",
+    "mobility.degraded.epochs": "048a4b62",
+    "mobility.degraded.counters": "1f107171",
+    "mobility.degraded.walks": "fd97cccb",
+    "lifetime.energy.epochs": "e049c84a",
+    "lifetime.energy.summary": "bbd2276a",
+    "lifetime.static.epochs": "44acef2b",
+    "lifetime.static.summary": "5389ba2e",
+    "chaos.epochs": "5d93a591",
+    "churn.simulate_churn": "53826690",
+    "churn.simulate_churn_rebuild": "aa6e9471",
+}
+
+
+def _plain(obj):
+    """``obj`` as nested tuples of Python scalars (floats rounded)."""
+    if dataclasses.is_dataclass(obj):
+        obj = dataclasses.astuple(obj)
+    if isinstance(obj, dict):
+        return tuple((_plain(k), _plain(v)) for k, v in sorted(obj.items()))
+    if isinstance(obj, (set, frozenset)):
+        return tuple(sorted(_plain(x) for x in obj))
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return tuple(_plain(x) for x in obj)
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        return round(float(obj), 6)
+    if obj is None or isinstance(obj, str):
+        return obj
+    raise TypeError(f"cannot digest {type(obj).__name__}")
+
+
+def _digest(obj) -> str:
+    return f"{zlib.crc32(repr(_plain(obj)).encode()):08x}"
+
+
+def _backbone_shape(backbone):
+    if backbone is None:
+        return None
+    return (
+        backbone.heads,
+        frozenset(backbone.gateways),
+        frozenset(backbone.selected_links),
+    )
+
+
+def test_service_run():
+    engine, _ = run_service(
+        ServiceConfig(n=150, seed=7, base_loss=0.05), events=300
+    )
+    # The digest `repro-khop serve --n 150 --events 300 --seed 7` prints.
+    assert zlib.crc32(repr(engine.fingerprint()).encode()) == 0xA72CB732
+    assert _digest(engine.counts) == PINNED["service.counts"]
+
+
+@pytest.mark.parametrize("degraded", [False, True])
+def test_mobility_delta_epochs(degraded):
+    topo = random_topology(60, degree=6.0, seed=1)
+    topo.graph.use_distance_backend("lazy")
+    report = simulate_mobile_traffic(
+        topo,
+        2,
+        make_workload("uniform", 60, 150, seed=1),
+        snapshots=8,
+        seed=1,
+        engine="delta",
+        collect_walks=True,
+        degraded=degraded,
+    )
+    # A disconnected stretch between connected ones: the delta epochs
+    # after it inherit across composed deltas.
+    assert [e.connected for e in report.epochs] == [
+        True, True, True, False, False, True, True, True, False,
+    ]
+    counters = (
+        report.skipped_disconnected,
+        report.rows_inherited,
+        report.rows_partial_inherited,
+        report.balls_inherited,
+        report.paths_inherited,
+        report.router_rebuilds_avoided,
+        report.degraded_epochs,
+        report.recovery_times,
+    )
+    mode = "degraded" if degraded else "skip"
+    assert _digest(report.epochs) == PINNED[f"mobility.{mode}.epochs"]
+    assert _digest(counters) == PINNED[f"mobility.{mode}.counters"]
+    assert _digest(report.walks) == PINNED[f"mobility.{mode}.walks"]
+
+
+@pytest.mark.parametrize("scheme", ["energy", "static"])
+def test_rotation_under_traffic(scheme):
+    topo = random_topology(100, degree=8.0, seed=7)
+    reports = compare_rotation_under_traffic(
+        topo.graph, 2, make_workload("uniform", 100, 200, seed=7), epochs=40
+    )
+    report = reports[scheme]
+    assert report.total_deaths > 0
+    assert _digest(report.epochs) == PINNED[f"lifetime.{scheme}.epochs"]
+    assert _digest(
+        (
+            report.deaths,
+            report.repair_actions,
+            report.head_service,
+            report.first_partition_epoch,
+            report.router_rebuilds_avoided,
+            report.router_legs_inherited,
+        )
+    ) == PINNED[f"lifetime.{scheme}.summary"]
+
+
+def test_chaos_epoch_records():
+    report = run_chaos(seed=7, events=100, join_weight=0.2)
+    assert report.ok
+    assert (report.events_applied, len(report.epochs), report.checks_run) == (
+        141, 25, 149,
+    )
+    assert _digest(report.epochs) == PINNED["chaos.epochs"]
+
+
+@pytest.mark.parametrize(
+    "simulate", [simulate_churn, simulate_churn_rebuild], ids=["repair", "rebuild"]
+)
+def test_churn_outcomes(simulate):
+    graph = random_topology(100, degree=8.0, seed=3).graph
+    report = simulate(graph, 2, failures=30, seed=3)
+    outcomes = [
+        (
+            o.failed_node,
+            o.role,
+            o.action,
+            o.escalated,
+            o.scope_heads,
+            o.partitioned,
+            o.spliced,
+            _backbone_shape(o.backbone),
+        )
+        for o in report.outcomes
+    ]
+    assert _digest((outcomes, report.stopped_at)) == PINNED[
+        f"churn.{simulate.__name__}"
+    ]
