@@ -166,7 +166,7 @@ DENSE_ALLOWLIST: dict[str, tuple[str, ...]] = {
 #: the reason shown in the diagnostic.
 HOT_MODULES: dict[str, str] = {
     "src/repro/net/oracle.py": "bit-packed BFS kernel / lazy oracle (PR 2/4)",
-    "src/repro/net/labeling.py": "vectorized PLL construction (PR 4)",
+    "src/repro/net/labeling.py": "batched PLL construction, vectorized label joins",
     "src/repro/core/clustering.py": "batched k-hop clustering engine (PR 4)",
     "src/repro/traffic/router.py": "batch flow routing (PR 3)",
     "src/repro/traffic/load.py": "vectorized load accounting (PR 3)",

@@ -31,8 +31,9 @@ let ``backend="auto"`` pick) by workload shape:
   verification) at any n.
 * ``"landmark"`` (:class:`~repro.net.labeling.LandmarkDistanceOracle`) —
   a lazy oracle plus exact pruned landmark labels built from
-  degree-ranked roots; answers ``distance(u, v)`` by a sorted label join
-  in O(|label|) without touching any row.  Right for **pair-heavy**
+  degree-ranked roots, :data:`BATCH_BITS` roots at a time; answers pair
+  queries by a vectorized label join in O(|label|) per pair without
+  touching any row.  Right for **pair-heavy**
   consumers (routing stretch sampling, NC neighbor selection, repair
   validation) once n is large enough that even one BFS row per query
   hurts.  Labels are built lazily on the first pair query.
@@ -100,6 +101,7 @@ __all__ = [
     "DistanceOracle",
     "DenseDistanceOracle",
     "LazyDistanceOracle",
+    "csr_offsets",
     "gather_csr_neighbors",
     "multi_source_bfs",
     "build_distance_oracle",
@@ -151,7 +153,8 @@ class OracleStats:
         row_hits: row queries answered from cache.
         balls_computed: depth-limited BFS balls computed so far.
         ball_hits: ball queries answered from cache (or from a cached row).
-        cached_bytes: bytes currently held by this oracle's caches.
+        cached_bytes: bytes currently held by this oracle's caches (the
+            landmark backend's labels included).
         peak_cached_bytes: high-water mark of ``cached_bytes``.
         rows_inherited: rows carried over from a parent oracle by the
             edge-delta inheritance (verbatim or patched).
@@ -459,14 +462,13 @@ def _ball_from_row(row: np.ndarray, radius: int) -> Tuple[np.ndarray, np.ndarray
     return _readonly(nodes), _readonly(row[nodes])
 
 
-def gather_csr_neighbors(
-    indptr: IndexArray, indices: IndexArray, nodes: IndexArray
+def csr_offsets(
+    indptr: IndexArray, nodes: IndexArray
 ) -> Tuple[IndexArray, IndexArray]:
-    """Concatenated CSR adjacency of ``nodes``: ``(neighbors, counts)``.
+    """Flat positions of the CSR ranges of ``nodes``: ``(offsets, counts)``.
 
-    The frontier-expansion primitive every level-synchronous sweep in the
-    repo shares: the ranges ``[indptr[u], indptr[u+1])`` are concatenated
-    without a Python loop — within block ``i``, position ``j`` maps to
+    The ranges ``[indptr[u], indptr[u+1])`` are concatenated without a
+    Python loop — within block ``i``, position ``j`` maps to
     ``ends_i - cum_i + j``.  ``counts`` is the per-node range length (for
     callers that repeat per-node state across the concatenation).
     """
@@ -475,6 +477,18 @@ def gather_csr_neighbors(
     counts = ends - starts
     total = int(counts.sum())
     offsets = np.repeat(ends - np.cumsum(counts), counts) + np.arange(total)
+    return offsets, counts
+
+
+def gather_csr_neighbors(
+    indptr: IndexArray, indices: IndexArray, nodes: IndexArray
+) -> Tuple[IndexArray, IndexArray]:
+    """Concatenated CSR adjacency of ``nodes``: ``(neighbors, counts)``.
+
+    The frontier-expansion primitive every level-synchronous sweep in the
+    repo shares (see :func:`csr_offsets`).
+    """
+    offsets, counts = csr_offsets(indptr, nodes)
     return indices[offsets], counts
 
 

@@ -32,12 +32,11 @@ class TestShippedTree:
             assert rule.name == RULE_DOCS[rule.code][0]
             assert rule.summary  # non-empty one-liner
 
-    def test_sanctioned_pragmas_are_the_documented_two(self):
-        # The shipped tree carries exactly two suppressions (labeling's
-        # int64 sentinel headroom, PLL's sequential root loop).  A new
-        # pragma is a reviewable event, not drive-by noise.
+    def test_shipped_tree_carries_no_pragmas(self):
+        # The shipped tree carries no suppressions.  A new pragma is a
+        # reviewable event, not drive-by noise.
         run = run_lint(REPO_ROOT, paths=DEFAULT_PATHS)
-        assert run.suppressed == 2
+        assert run.suppressed == 0
 
 
 class TestCliLint:
