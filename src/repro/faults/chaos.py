@@ -20,8 +20,9 @@ Invariants checked per batch:
    :func:`~repro.service.guards.check_csr_symmetry` guard.
 2. **component-local backbone cover** — a backbone built cold on the
    survivors (:func:`~repro.maintenance.repair.rebuild_survivors`)
-   passes the degraded verification battery
-   (:func:`~repro.maintenance.repair._verify_degraded`): per-component
+   passes the per-component verification battery the service guards
+   and the degraded repair floor share
+   (:func:`~repro.maintenance.repair._verify_excluding`): per-component
    CDS connectivity, k-hop domination, gateways are members, links
    alive.
 3. **inherited-vs-fresh walk identity** — a router inheriting the
@@ -47,7 +48,7 @@ from ..core.pipeline import _LOCALIZED
 from ..errors import InvalidParameterError, ValidationError
 from ..maintenance.repair import (
     _surviving_components,
-    _verify_degraded,
+    _verify_excluding,
     rebuild_survivors,
 )
 from ..net.topology import random_topology
@@ -240,7 +241,7 @@ def run_chaos(
                 checks += 1
                 try:
                     backbone = rebuild_survivors(graph, k, algorithm, dead=dead)
-                    _verify_degraded(backbone, dead, components)
+                    _verify_excluding(backbone, dead, per_component=True)
                 except ValidationError as exc:
                     violate(f"degraded backbone battery failed at epoch {epoch}: {exc}")
                     if stop_on_violation:

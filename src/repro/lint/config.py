@@ -170,6 +170,7 @@ HOT_MODULES: dict[str, str] = {
     "src/repro/core/clustering.py": "batched k-hop clustering engine (PR 4)",
     "src/repro/traffic/router.py": "batch flow routing (PR 3)",
     "src/repro/traffic/load.py": "vectorized load accounting (PR 3)",
+    "src/repro/service/guards.py": "array invariant guards, run after every service event",
 }
 
 #: R004: qualname prefixes inside hot modules that *are* the scalar

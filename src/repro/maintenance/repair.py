@@ -34,12 +34,12 @@ from typing import AbstractSet, Optional
 
 import numpy as np
 
-from ..core.clustering import Clustering, group_by_assignment, khop_cluster
+from ..core.clustering import Clustering, khop_cluster
 from ..core.membership import MembershipPolicy
 from ..core.pipeline import _LOCALIZED, BackboneResult, build_backbone
 from ..core.priorities import PriorityScheme
 from ..core.virtual_graph import VirtualGraph, VirtualLink
-from ..cds.verify import check_gateways_are_members
+from ..cds.verify import broken_link, check_gateways_are_members
 from ..errors import (
     DisconnectedGraphError,
     InvalidParameterError,
@@ -48,7 +48,7 @@ from ..errors import (
     ValidationError,
 )
 from ..net.graph import Graph
-from ..net.oracle import gather_csr_neighbors
+from ..net.oracle import csr_component_labels
 from ..net.paths import PathOracle
 from ..obs import counter as obs_counter
 from ..obs import span
@@ -134,12 +134,10 @@ def _excluded_nodes(clustering: Clustering) -> set[NodeId]:
     self-assigned, non-head vertices, and every later repair must keep
     ignoring them.
     """
-    heads = set(clustering.heads)
-    return {
-        u
-        for u in clustering.graph.nodes()
-        if clustering.head_of[u] == u and u not in heads
-    }
+    head_of = np.asarray(clustering.head_of, dtype=np.int64)
+    phantom = head_of == np.arange(head_of.size)
+    phantom[np.asarray(clustering.heads, dtype=np.int64)] = False
+    return set(np.flatnonzero(phantom).tolist())
 
 
 def _strip_nodes(
@@ -170,73 +168,87 @@ def _old_assignment_valid(
     the post-failure oracle, whose ball cache is inherited incrementally
     across failures) covers all of that head's members at once, instead of
     one pair query — a full BFS row on the lazy backend — per survivor.
+    The balls concatenate into sorted ``head * n + node`` keys, and every
+    survivor's ``head * n + survivor`` key is looked up in one
+    searchsorted join.
     """
     k = clustering.k
+    n = graph2.n
     oracle = graph2.oracle
-    # Group survivors by head in one stable-argsort pass over the
-    # assignment array (the per-node Python sweep was a fixed per-failure
-    # cost at scale), then cover each head's members with one k-ball.
     head_arr = np.asarray(clustering.head_of, dtype=np.int64)
-    gone_mask = np.zeros(graph2.n, dtype=bool)
+    gone_mask = np.zeros(n, dtype=bool)
     if gone:
         gone_mask[np.fromiter(gone, dtype=np.intp, count=len(gone))] = True
     survivors = np.flatnonzero(~gone_mask)
     their_heads = head_arr[survivors]
     if gone_mask[their_heads].any():
         return False  # some survivor's head died
-    order, uniq, bounds = group_by_assignment(their_heads)
-    sorted_members = survivors[order]
-    oracle.prepare_balls(uniq.tolist(), k)
-    for i, h in enumerate(uniq.tolist()):
-        members = sorted_members[bounds[i] : bounds[i + 1]]
-        nodes, _ = oracle.ball(h, k)
-        pos = np.searchsorted(nodes, members)
-        if (pos >= nodes.size).any():
-            return False
-        if not (nodes[pos] == members).all():
-            return False
-    return True
+    if survivors.size == 0:
+        return True
+    is_head = np.zeros(n, dtype=bool)
+    is_head[their_heads] = True
+    heads = np.flatnonzero(is_head)
+    oracle.prepare_balls(heads.tolist(), k)
+    balls = [oracle.ball(h, k)[0] for h in heads.tolist()]
+    sizes = np.fromiter(map(len, balls), dtype=np.int64, count=len(balls))
+    keys = np.repeat(heads * n, sizes) + np.concatenate(balls)
+    wanted = their_heads * n + survivors
+    pos = np.minimum(np.searchsorted(keys, wanted), keys.size - 1)
+    return bool((keys[pos] == wanted).all())
 
 
 def _verify_excluding(
     result: BackboneResult,
-    excluded: set[NodeId],
+    excluded: AbstractSet[NodeId],
     *,
     per_component: bool = False,
 ) -> None:
     """Backbone verification that ignores the dead nodes.
 
-    With ``per_component=True`` the CDS-connectivity requirement is
-    checked within each graph component instead of globally — the
-    service guard's contract, where a disconnected *graph* (an islanded
-    arrival, a partition served by degraded routing) is an expected
-    environmental condition, while a CDS split inside one component is
-    still an engine bug.
+    Four array checks on the result's graph, raising on the first that
+    fails: gateways are members; every selected link is alive
+    (:func:`_check_links_alive`); the CDS is connected; and every node
+    outside ``excluded`` lies in the union of the heads' k-balls, one
+    boolean cover mask.
+
+    CDS connectivity is one labelling pass over the CDS-induced CSR
+    subgraph (:func:`~repro.net.oracle.csr_component_labels`).  With
+    ``per_component=True`` the requirement holds within each graph
+    component instead of globally — the service guard's and the
+    degraded floor's contract, where a disconnected *graph* (an
+    islanded arrival, a partition served by degraded routing) is an
+    expected environmental condition, while a CDS split inside one
+    component is still an engine bug.  Graph components are only
+    labelled when the CDS falls into more than one piece: the CDS is
+    connected per component exactly when no two pieces share one.
     """
     g = result.clustering.graph
+    n = g.n
     check_gateways_are_members(result)
     _check_links_alive(result)
-    if per_component:
-        cds = set(result.cds)
-        for comp in g.connected_components():
-            sub = cds & set(comp)
-            if sub and not g.is_connected_subset(sub):
-                raise ValidationError(
-                    "repaired CDS is not connected within its component"
-                )
-    elif not g.is_connected_subset(result.cds):
-        raise ValidationError("repaired CDS is not connected")
+    indptr, indices = g.csr_adjacency
+    cds = np.fromiter(result.cds, dtype=np.int64, count=len(result.cds))
+    in_cds = np.zeros(n, dtype=bool)
+    in_cds[cds] = True
+    _, pieces = csr_component_labels(indptr, indices, in_cds)
+    if pieces > 1:
+        if not per_component:
+            raise ValidationError("repaired CDS is not connected")
+        components, _ = csr_component_labels(indptr, indices)
+        holding = np.zeros(n, dtype=bool)
+        holding[components[cds]] = True
+        if np.count_nonzero(holding) < pieces:
+            raise ValidationError(
+                "repaired CDS is not connected within its component"
+            )
     k = result.clustering.k
-    # Union of per-head k-balls (cache-friendly, output-sensitive) instead
-    # of a pair query per survivor x head; missing balls batch through the
-    # depth-limited multi-source kernel.
     g.oracle.prepare_balls(result.heads, k)
-    covered = set(g.nodes_within(result.heads, k))
-    for u in g.nodes():
-        if u in excluded:
-            continue
-        if u not in covered:
-            raise ValidationError(f"survivor {u} lost k-hop domination")
+    covered = g.within_mask(result.heads, k)
+    if excluded:
+        covered[np.fromiter(excluded, dtype=np.int64, count=len(excluded))] = True
+    if not covered.all():
+        u = int(np.flatnonzero(~covered)[0])
+        raise ValidationError(f"survivor {u} lost k-hop domination")
 
 
 def _check_links_alive(result: BackboneResult) -> None:
@@ -249,23 +261,13 @@ def _check_links_alive(result: BackboneResult) -> None:
     can only *increase* distances, and the stored path — whose edges are
     re-checked here — still realizes ``weight`` hops, pinning the new
     distance to exactly ``weight``.  Skipping the re-derivation keeps the
-    per-failure cost at O(links · path length) instead of one BFS row per
-    link endpoint.
+    per-failure cost to array passes over the links' paths and the CSR
+    arcs (:func:`~repro.cds.verify.broken_link`) instead of one BFS row
+    per link endpoint.
     """
-    g = result.clustering.graph
-    for a, b in sorted(result.selected_links):
-        link = result.virtual_graph.link(a, b)
-        for x, y in zip(link.path, link.path[1:]):
-            if not g.has_edge(x, y):
-                raise ValidationError(
-                    f"virtual link {a}-{b} uses non-edge ({x},{y})"
-                )
-        missing = set(link.interior) - result.gateways
-        if missing:
-            raise ValidationError(
-                f"link {a}-{b} interior nodes {sorted(missing)} are not "
-                "gateways"
-            )
+    problem = broken_link(result)
+    if problem is not None:
+        raise ValidationError(problem)
 
 
 def _seeded_path_oracle(
@@ -457,35 +459,15 @@ def _verify_and_accept(
 def _survivors_connected(graph2: Graph, gone: set[NodeId]) -> bool:
     """Whether the nodes outside ``gone`` form one connected component.
 
-    A masked level-synchronous BFS over the CSR adjacency arrays: ``gone``
-    nodes start out marked as seen so they neither enter a frontier nor
-    count toward the reachable total, and each level is one vectorized
-    gather over the frontier's CSR ranges — replacing the Python
-    node-at-a-time sweep that dominated per-failure cost at scale.
+    One labelling pass over the CSR subgraph the survivors induce
+    (:func:`~repro.net.oracle.csr_component_labels`), so ``gone`` nodes
+    neither relay nor count, even while still wired into ``graph2``.
     """
-    n = graph2.n
-    seen = np.zeros(n, dtype=bool)
+    alive = np.ones(graph2.n, dtype=bool)
     if gone:
-        seen[np.fromiter(gone, dtype=np.intp, count=len(gone))] = True
-    survivors = int(n - seen.sum())
-    if survivors <= 1:
-        return True
-    indptr, indices = graph2.csr_adjacency
-    root = int(np.flatnonzero(~seen)[0])
-    seen[root] = True
-    frontier = np.asarray([root], dtype=np.int64)
-    reached = 1
-    while frontier.size:
-        nbrs, _ = gather_csr_neighbors(indptr, indices, frontier)
-        if nbrs.size == 0:
-            break
-        nbrs = nbrs[~seen[nbrs]]
-        if nbrs.size == 0:
-            break
-        frontier = np.unique(nbrs)
-        seen[frontier] = True
-        reached += frontier.size
-    return reached == survivors
+        alive[np.fromiter(gone, dtype=np.intp, count=len(gone))] = False
+    _, pieces = csr_component_labels(*graph2.csr_adjacency, alive)
+    return pieces <= 1
 
 
 def repair(backbone: BackboneResult, node: NodeId) -> RepairOutcome:
@@ -623,39 +605,6 @@ def _repair_ladder(backbone: BackboneResult, node: NodeId) -> RepairOutcome:
     )
 
 
-def _verify_degraded(
-    result: BackboneResult,
-    excluded: set[NodeId],
-    components: tuple[tuple[int, ...], ...],
-) -> None:
-    """The verification battery for a component-local (degraded) backbone.
-
-    Same checks as :func:`_verify_excluding` except connectivity, which a
-    partitioned graph can only satisfy *per component*: the CDS nodes
-    inside each surviving component must form a connected subgraph, and
-    every survivor must still be k-hop dominated by some head (heads are
-    per-component, so domination never crosses a partition).
-    """
-    g = result.clustering.graph
-    check_gateways_are_members(result)
-    _check_links_alive(result)
-    cds = set(result.cds)
-    for comp in components:
-        if not g.is_connected_subset(cds & set(comp)):
-            raise ValidationError(
-                f"degraded CDS is not connected inside component of "
-                f"{len(comp)} survivors"
-            )
-    k = result.clustering.k
-    g.oracle.prepare_balls(result.heads, k)
-    covered = set(g.nodes_within(result.heads, k))
-    for u in g.nodes():
-        if u in excluded:
-            continue
-        if u not in covered:
-            raise ValidationError(f"survivor {u} lost k-hop domination")
-
-
 def degraded_repair(backbone: BackboneResult, node: NodeId) -> RepairOutcome:
     """The §3.3 ladder with a graceful floor under partition.
 
@@ -701,7 +650,7 @@ def degraded_repair(backbone: BackboneResult, node: NodeId) -> RepairOutcome:
             membership=clustering.membership_name,
             oracle=_seeded_path_oracle(graph2, backbone, gone),
         )
-        _verify_degraded(result, gone, components)
+        _verify_excluding(result, gone, per_component=True)
     except ValidationError as exc:
         raise RepairError(
             f"degraded repair produced an invalid component-local "

@@ -319,21 +319,21 @@ class Graph:
         return tuple(nodes.tolist())
 
     def nodes_within(self, sources: Sequence[NodeId], k: int) -> tuple[int, ...]:
-        """Nodes at hop distance ``<= k`` from *any* node in ``sources``.
+        """Nodes at hop distance ``<= k`` from *any* node in ``sources``."""
+        return tuple(np.flatnonzero(self.within_mask(sources, k)).tolist())
+
+    def within_mask(self, sources: Sequence[NodeId], k: int) -> np.ndarray:
+        """Boolean node mask of :meth:`nodes_within`.
 
         Computed as a union of balls, so cost scales with the covered
         region rather than with ``n × len(sources)``.
         """
         if k < 0:
             raise InvalidParameterError(f"k must be >= 0, got {k}")
-        if len(sources) == 0:
-            return ()
-        oracle = self.oracle
-        covered: set[int] = set()
+        covered = np.zeros(self._n, dtype=bool)
         for s in sources:
-            nodes, _ = oracle.ball(int(s), k)
-            covered.update(nodes.tolist())
-        return tuple(sorted(covered))
+            covered[self.oracle.ball(int(s), k)[0]] = True
+        return covered
 
     # ------------------------------------------------------------------ #
     # connectivity

@@ -102,6 +102,7 @@ __all__ = [
     "DenseDistanceOracle",
     "LazyDistanceOracle",
     "csr_offsets",
+    "csr_component_labels",
     "gather_csr_neighbors",
     "multi_source_bfs",
     "build_distance_oracle",
@@ -490,6 +491,49 @@ def gather_csr_neighbors(
     """
     offsets, counts = csr_offsets(indptr, nodes)
     return indices[offsets], counts
+
+
+def csr_component_labels(
+    indptr: IndexArray, indices: IndexArray, mask: np.ndarray | None = None
+) -> Tuple[IndexArray, int]:
+    """Component labels of the CSR graph, or of its ``mask``-induced subgraph.
+
+    Returns ``(labels, count)``: ``labels[u]`` is the smallest node of
+    ``u``'s component (``u`` itself outside ``mask``), and ``count`` is
+    the number of components inside the mask (of the whole graph when
+    ``mask`` is None).  Isolated nodes keep their own label at no cost.
+
+    Label propagation with pointer jumping: each round hooks the larger
+    label of every arc whose endpoints still disagree under the smaller,
+    then compresses every node straight to its root.  A round is a few
+    array passes over the arcs that still disagree, and a handful of
+    rounds settle even a long, thin subgraph such as a backbone's CDS,
+    where a BFS would pay one pass per level.  The CSR is symmetric
+    (every edge stored as both arcs), so only the ``u < v`` arcs are
+    scanned.
+    """
+    n = indptr.size - 1
+    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    dst = indices
+    kept = src < dst
+    if mask is not None:
+        kept &= mask[src] & mask[dst]
+    src, dst = src[kept], dst[kept]
+    labels = np.arange(n, dtype=np.int64)
+    while src.size:
+        a, b = labels[src], labels[dst]
+        live = a != b
+        src, dst, a, b = src[live], dst[live], a[live], b[live]
+        np.minimum.at(labels, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            jumped = labels[labels]
+            if np.array_equal(jumped, labels):
+                break
+            labels = jumped
+    roots = labels == np.arange(n)
+    if mask is not None:
+        roots &= mask
+    return labels, int(np.count_nonzero(roots))
 
 
 def _csr_bfs(

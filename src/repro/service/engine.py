@@ -37,10 +37,13 @@ state never re-runs the global clustering algorithm: only a guard trip,
 a cover-breaking motion, or a backbone stage that fails even after the
 merge falls back to :func:`~repro.maintenance.repair.rebuild_survivors`
 on the current graph, and each is counted
-(``service.rebuild_fallbacks``).  Invariant guards
+(``service.rebuild_fallbacks``).  A cover-breaking motion is the
+designed §3.3 fallback, not a fault, so it is counted on its own
+(``service.cover_fallbacks``) and logs no incident.  Invariant guards
 (:func:`~repro.service.guards.run_guards`) run after structural events;
-a violation becomes a structured incident plus that same scoped rebuild
-— the loop keeps serving.
+a violation, like a backbone stage that fails even after the merge,
+becomes a structured incident (``service.guard_trips``) plus that same
+scoped rebuild, and the loop keeps serving.
 
 Durability is write-ahead: each event is appended to the JSONL log
 *before* it is applied, and every ``checkpoint_every`` events the full
@@ -177,6 +180,7 @@ class ServiceReport:
     repairs: int
     backbone_rebuilds: int
     rebuild_fallbacks: int
+    cover_fallbacks: int
     guard_trips: int
     khop_reruns: int
     checkpoints: int
@@ -195,6 +199,7 @@ class ServiceReport:
             f"backbone rebuilds    {self.backbone_rebuilds}",
             f"rebuild fallbacks    {self.rebuild_fallbacks}"
             f" (guard trips {self.guard_trips})",
+            f"cover fallbacks      {self.cover_fallbacks}",
             f"khop re-runs         {self.khop_reruns}",
             f"checkpoints          {self.checkpoints}",
             f"flows routed         {self.flows_routed}"
@@ -556,11 +561,10 @@ class ServiceEngine:
         self._set_graph(g2)
         c2 = dataclasses.replace(self.clustering, graph=g2)
         if not clustering_still_valid(c2, g2, exclude=self.dead):
-            self._fall_back(
-                event,
-                "cover",
-                "edge delta broke the k-hop cover; scoped recluster",
-            )
+            # The designed fallback when motion strands a member beyond
+            # k of its head: counted, not logged as an incident.
+            self._count("cover_fallbacks")
+            self._scoped_rebuild(event)
             return
         self._carry_delta(c2, {u for e in added | removed for u in e}, event)
 
@@ -831,6 +835,7 @@ class ServiceEngine:
             repairs=self.counts["repairs"],
             backbone_rebuilds=self.counts["backbone_rebuilds"],
             rebuild_fallbacks=self.counts["rebuild_fallbacks"],
+            cover_fallbacks=self.counts["cover_fallbacks"],
             guard_trips=self.counts["guard_trips"],
             khop_reruns=self.counts["khop_reruns"],
             checkpoints=self.counts["checkpoints"],

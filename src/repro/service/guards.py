@@ -3,19 +3,35 @@
 A one-shot experiment can afford to crash on a broken invariant — the
 operator reruns it.  A service cannot: the contract here is that a
 violated invariant becomes a **structured incident** plus a scoped
-rebuild, never an unhandled exception.  The guards re-check, on the live
-state, the same invariants the chaos harness asserts offline:
+rebuild, never an unhandled exception.  The guards re-check, on the
+whole live state, the same invariants the chaos harness asserts
+offline.  Each is a few numpy passes over the graph's CSR arrays:
 
-1. **CSR symmetry / edge coherence** — the compiled adjacency arrays
-   round-trip to the graph's normalized edge set, every arc paired with
-   its reverse (:func:`check_csr_symmetry`);
-2. **cover validity** — every alive node still sits within ``k`` hops of
-   its assigned head
-   (:func:`~repro.maintenance.repair.clustering_still_valid` via
-   :func:`check_cover`);
-3. **backbone battery** — the verification battery the repair ladder
-   runs before accepting a backbone, excluding dead nodes
-   (:func:`check_backbone`).
+1. **CSR symmetry / edge coherence** (:func:`check_csr_symmetry`) —
+   every CSR index is a node; the sorted forward arc keys ``u * n + v``
+   equal the sorted reverse keys ``v * n + u`` (every arc paired with
+   its reverse, multiplicities included); and the deduplicated
+   ``u <= v`` keys equal the keys of the graph's normalized edge tuple,
+   read once per check.
+2. **cover validity** (:func:`check_cover`, via
+   :func:`~repro.maintenance.repair.clustering_still_valid`) — every
+   alive node sits within ``k`` hops of its assigned head: the heads'
+   k-balls (from the inherited ball cache) concatenate into sorted
+   ``head * n + node`` keys, and one searchsorted join answers every
+   survivor.
+3. **backbone battery** (:func:`check_backbone`) — the verification
+   battery the repair ladder runs before accepting a backbone,
+   excluding dead nodes: gateways are members; every selected link's
+   path steps are CSR arcs (one gather of the path nodes' CSR rows)
+   and its interior nodes gateways (one mask); the CDS is connected
+   within each graph component (one label-propagation pass over the
+   CDS-induced CSR subgraph, graph components labelled only when the
+   CDS falls into more than one piece); and every alive node is k-hop
+   dominated (one boolean cover mask).
+
+Nothing is sampled, restricted to the touched region or cached across
+graphs: every guard re-derives its verdict from the full live state
+each time it runs.  Failure messages are built only on the failure path.
 
 :func:`run_guards` bundles all three and returns the incidents found
 (empty list = healthy); the engine counts trips, logs each incident to
@@ -25,14 +41,17 @@ the run's incident log, and falls back to a scoped rebuild.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any, Optional
+
+import numpy as np
 
 from ..core.clustering import Clustering
 from ..core.pipeline import BackboneResult
 from ..errors import ValidationError
 from ..maintenance.repair import clustering_still_valid
 from ..net.graph import Graph
-from ..types import normalize_edge
+from ..net.oracle import _dedupe_flat
 
 __all__ = [
     "GuardIncident",
@@ -72,20 +91,51 @@ class GuardIncident:
 
 def check_csr_symmetry(graph: Graph) -> Optional[str]:
     """CSR arrays round-trip to the normalized edge set; None if healthy."""
+    n = graph.n
     indptr, indices = graph.csr_adjacency
-    arcs = set()
-    for u in range(graph.n):
-        for v in indices[indptr[u] : indptr[u + 1]].tolist():
-            arcs.add((u, v))
-    for u, v in arcs:
-        if (v, u) not in arcs:
-            return f"CSR adjacency asymmetric: arc ({u}, {v}) has no reverse"
-    realized = {normalize_edge(u, v) for u, v in arcs}
-    if realized != set(graph.edges):
-        missing = sorted(set(graph.edges) - realized)[:3]
-        extra = sorted(realized - set(graph.edges))[:3]
-        return f"CSR edge set diverges: missing={missing} extra={extra}"
-    return None
+    degs = np.diff(indptr)
+    if (
+        indptr.shape != (n + 1,)
+        or indptr[0] != 0
+        or indptr[-1] != indices.size
+        or (degs < 0).any()
+    ):
+        return (
+            f"CSR edge set diverges: indptr of shape {indptr.shape} does "
+            f"not delimit {indices.size} arcs over n={n} nodes"
+        )
+    rows = np.repeat(np.arange(n, dtype=np.int64), degs)
+    stray = (indices < 0) | (indices >= n)
+    if stray.any():
+        i = int(np.flatnonzero(stray)[0])
+        return (
+            f"CSR adjacency asymmetric: arc ({rows[i]}, {indices[i]}) has "
+            f"no reverse (index out of range for n={n})"
+        )
+    keys = rows * n + indices
+    fwd = np.sort(keys)
+    rev = np.sort(indices * n + rows)
+    if not np.array_equal(fwd, rev):
+        i = int(np.flatnonzero(fwd != rev)[0])
+        if fwd[i] < rev[i]:  # arc fwd[i] outnumbers its reverse
+            u, v = divmod(int(fwd[i]), n)
+        else:  # the reverse of arc rev[i] outnumbers it
+            v, u = divmod(int(rev[i]), n)
+        return f"CSR adjacency asymmetric: arc ({u}, {v}) has no reverse"
+    realized = _dedupe_flat(keys[rows <= indices])
+    flat = np.fromiter(
+        chain.from_iterable(graph.edges), dtype=np.int64, count=2 * graph.m
+    )
+    lo, hi = flat[0::2], flat[1::2]
+    if bool(((lo >= 0) & (lo < hi) & (hi < n)).all()) and np.array_equal(
+        realized, _dedupe_flat(lo * n + hi)
+    ):
+        return None
+    arcs = {(int(k) // n, int(k) % n) for k in realized}
+    edges = set(graph.edges)
+    missing = sorted(edges - arcs)[:3]
+    extra = sorted(arcs - edges)[:3]
+    return f"CSR edge set diverges: missing={missing} extra={extra}"
 
 
 def check_cover(

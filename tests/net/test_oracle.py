@@ -26,6 +26,7 @@ from repro.net.oracle import (
     LazyDistanceOracle,
     _check_size,
     build_distance_oracle,
+    csr_component_labels,
     multi_source_bfs,
     resolve_backend,
 )
@@ -413,6 +414,46 @@ class TestCSR:
         indptr, indices = path_graph(4).csr_adjacency
         with pytest.raises(ValueError):
             indptr[0] = 1
+
+
+class TestComponentLabels:
+    """Label propagation vs networkx components, whole graph and masked."""
+
+    @staticmethod
+    def _check(g, mask):
+        import networkx as nx
+
+        labels, count = csr_component_labels(*g.csr_adjacency, mask)
+        nxg = g.to_networkx()
+        if mask is not None:
+            nxg = nxg.subgraph(np.flatnonzero(mask).tolist())
+        comps = list(nx.connected_components(nxg))
+        assert count == len(comps)
+        for comp in comps:
+            assert set(labels[sorted(comp)].tolist()) == {min(comp)}
+        if mask is not None:
+            outside = np.flatnonzero(~mask)
+            assert (labels[outside] == outside).all()
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_graphs(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 60))
+        pairs = rng.integers(0, n, size=(int(rng.integers(0, 2 * n)), 2))
+        g = Graph(n, [(int(a), int(b)) for a, b in pairs if a != b])
+        self._check(g, None)
+        self._check(g, rng.random(n) < 0.6)
+
+    def test_long_path_with_shuffled_ids(self):
+        # The worst shape for a BFS (one level per node) and a stress on
+        # hooking order: a 500-node path whose IDs are a permutation.
+        order = np.random.default_rng(1).permutation(500)
+        g = Graph(500, zip(order[:-1].tolist(), order[1:].tolist()))
+        labels, count = csr_component_labels(*g.csr_adjacency)
+        assert count == 1 and (labels == 0).all()
+        mask = np.ones(500, dtype=bool)
+        mask[order[250]] = False  # cut the path in the middle
+        self._check(g, mask)
 
 
 # --------------------------------------------------------------------- #

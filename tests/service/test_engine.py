@@ -1,5 +1,6 @@
 """The service loop itself: growth, repair, guards, flows, counters."""
 
+import dataclasses
 import json
 from collections import Counter
 
@@ -16,6 +17,8 @@ from repro.service.engine import (
     run_service,
 )
 from repro.service.events import ServiceEvent, seeded_schedule
+from repro.service.guards import run_guards
+from repro.traffic.router import BatchRouter
 from repro.traffic.workloads import make_workload
 
 GROWTH_WEIGHTS = {
@@ -192,7 +195,6 @@ class TestDepartures:
         # head again and strand its members behind a dead radio.
         from repro.errors import RepairError
         from repro.service import engine as engine_mod
-        from repro.service.guards import run_guards
 
         def failing_repair(backbone, node):
             raise RepairError(f"forced failure removing {node}")
@@ -224,26 +226,64 @@ class TestDepartures:
 
 
 class TestGuardsAndIncidents:
-    def test_guard_trip_logs_incident_and_recovers(self, tmp_path):
+    def test_cover_break_falls_back_without_incident(self, tmp_path):
         cfg = _config(seed=19)
         engine = ServiceEngine(cfg, tmp_path)
-        # Rip out a head's entire neighborhood: the cover must break and
-        # the guard ladder must catch it instead of crashing.
+        # Rip out a head's entire neighborhood: the cover breaks, and the
+        # designed fallback re-elects the survivors.  That is counted as
+        # a cover fallback, not a guard trip, and logs no incident.
         head = engine.clustering.heads[0]
         edges = tuple(
             (min(head, v), max(head, v))
             for v in engine.graph.neighbors(head)
         )
         engine.apply(ServiceEvent(seq=0, kind="link_down", edges=edges))
-        assert engine.counts["guard_trips"] >= 1
+        assert engine.counts["cover_fallbacks"] >= 1
         assert engine.counts["rebuild_fallbacks"] >= 1
-        assert engine.incidents
+        assert engine.counts["guard_trips"] == 0
+        assert engine.incidents == []
+        assert not (tmp_path / INCIDENT_LOG_NAME).exists()
+        assert engine.report().cover_fallbacks == engine.counts["cover_fallbacks"]
+        # still serving
+        engine.apply(ServiceEvent(seq=0, kind="flow", flows=20))
+        assert engine.history[-1]["flows"] > 0
+
+    def test_guard_trip_logs_incident_and_recovers(self, tmp_path):
+        cfg = _config(seed=19)
+        engine = ServiceEngine(cfg, tmp_path)
+        # A real invariant break: a clusterhead marked as a gateway.
+        bb = engine.backbone
+        engine.router = BatchRouter(
+            dataclasses.replace(bb, gateways=bb.gateways | {bb.heads[0]}),
+            oracle=engine.paths,
+        )
+        # Taking down an absent link changes nothing, but it is a
+        # structural event, so the guards run on the corrupted state.
+        v = next(
+            u for u in range(1, engine.graph.n) if not engine.graph.has_edge(0, u)
+        )
+        engine.apply(ServiceEvent(seq=0, kind="link_down", edges=((0, v),)))
+        assert engine.counts["guard_trips"] == 1
+        assert engine.counts["rebuild_fallbacks"] == 1
+        assert engine.counts["cover_fallbacks"] == 0
+        (incident,) = engine.incidents
+        assert incident.guard == "backbone"
+        assert incident.message.startswith("backbone battery failed")
         logged = [
             json.loads(line)
             for line in (tmp_path / INCIDENT_LOG_NAME).read_text().splitlines()
         ]
-        assert logged[0]["guard"] in ("cover", "backbone", "csr")
-        # still serving
+        assert [rec["guard"] for rec in logged] == ["backbone"]
+        # The scoped rebuild installed a healthy state; still serving.
+        assert engine.backbone.gateways.isdisjoint(engine.backbone.heads)
+        assert run_guards(
+            engine.graph,
+            engine.clustering,
+            engine.backbone,
+            engine.dead,
+            seq=1,
+            kind="flow",
+        ) == []
         engine.apply(ServiceEvent(seq=0, kind="flow", flows=20))
         assert engine.history[-1]["flows"] > 0
 

@@ -25,7 +25,7 @@ from repro.traffic.workloads import make_workload
 
 #: Digests recorded before the loops shared the maintenance step.
 PINNED = {
-    "service.counts": "cdebcdaa",
+    "service.counts": "6262a39e",
     "mobility.skip.epochs": "22815d09",
     "mobility.skip.counters": "3ffc67d7",
     "mobility.skip.walks": "39e18e7d",
