@@ -1,7 +1,7 @@
 """Churn-under-repair benchmark: incremental maintenance vs from-scratch.
 
 The tentpole claim this benchmark measures: with the single-node
-``without_nodes`` fast path (CSR patch + oracle cache inheritance),
+``without_nodes`` fast path (CSR splice + oracle cache inheritance),
 head-centric ball validation, and the member-failure backbone splice,
 :func:`~repro.maintenance.churn.simulate_churn` no longer rebuilds graph +
 oracle + clustering on every failure — and must beat the from-scratch

@@ -26,6 +26,8 @@ from __future__ import annotations
 
 from typing import Mapping
 
+import numpy as np
+
 from ..errors import InvalidParameterError, ValidationError
 from ..net.graph import UNREACHABLE
 from ..types import Edge, NodeId, normalize_edge
@@ -80,18 +82,22 @@ def adjacent_head_pairs(clustering: Clustering) -> set[Edge]:
     of such an edge are never both clusterheads, matching the definition's
     parenthetical.
     """
-    head_of = clustering.head_of
-    pairs: set[Edge] = set()
-    for u, v in clustering.graph.edges:
-        hu, hv = head_of[u], head_of[v]
-        if hu != hv:
-            if u == hu and v == hv:  # pragma: no cover - excluded by k-hop IS
-                raise ValidationError(
-                    f"adjacent heads {u},{v} are direct neighbors; "
-                    "k-hop independence is violated"
-                )
-            pairs.add(normalize_edge(hu, hv))
-    return pairs
+    head_of = np.asarray(clustering.head_of, dtype=np.int64)
+    edges = clustering.graph.edge_array
+    u, v = edges[:, 0], edges[:, 1]
+    hu, hv = head_of[u], head_of[v]
+    cross = hu != hv
+    heads_meet = np.flatnonzero(cross & (u == hu) & (v == hv))
+    if heads_meet.size:  # pragma: no cover - excluded by k-hop IS
+        a, b = edges[heads_meet[0]].tolist()
+        raise ValidationError(
+            f"adjacent heads {a},{b} are direct neighbors; "
+            "k-hop independence is violated"
+        )
+    hu, hv = hu[cross], hv[cross]
+    lo = np.minimum(hu, hv).tolist()
+    hi = np.maximum(hu, hv).tolist()
+    return set(zip(lo, hi))
 
 
 def ancr_neighbors(clustering: Clustering) -> dict[NodeId, tuple[NodeId, ...]]:

@@ -226,7 +226,7 @@ def _choose_edges(
             f"cannot pick {count} distinct edges from {graph.m}"
         )
     idx = rng.choice(graph.m, size=count, replace=replace_)
-    return [graph.edges[int(i)] for i in idx]
+    return [(u, v) for u, v in graph.edge_array[idx].tolist()]
 
 
 def flap_plan(
@@ -302,7 +302,7 @@ def edges_crossing_disk(
     g = topology.graph
     if g.m == 0:
         return ()
-    e = np.asarray(g.edges, dtype=np.int64)
+    e = g.edge_array
     p = topology.positions[e[:, 0]]
     q = topology.positions[e[:, 1]]
     c = np.asarray(center, dtype=np.float64)
@@ -567,7 +567,7 @@ class FaultState:
         Crashes are applied one node at a time through
         :meth:`~repro.net.graph.Graph.without_nodes` and arrivals
         through :meth:`~repro.net.graph.Graph.with_nodes` (both edge
-        deltas with CSR patching and oracle inheritance); all link
+        deltas with CSR splices and oracle inheritance); all link
         changes in the batch collapse into a single
         :meth:`~repro.net.graph.Graph.with_edge_delta` call.
         """

@@ -165,6 +165,8 @@ DENSE_ALLOWLIST: dict[str, tuple[str, ...]] = {
 #: Python loop reappearing here is a performance regression.  Values are
 #: the reason shown in the diagnostic.
 HOT_MODULES: dict[str, str] = {
+    "src/repro/net/graph.py": "array Graph: numpy constructor and splices",
+    "src/repro/net/topology.py": "cell-binned edges, array rejection sampling",
     "src/repro/net/oracle.py": "bit-packed BFS kernel / lazy oracle (PR 2/4)",
     "src/repro/net/labeling.py": "batched PLL construction, vectorized label joins",
     "src/repro/core/clustering.py": "batched k-hop clustering engine (PR 4)",

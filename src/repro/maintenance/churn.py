@@ -11,7 +11,7 @@ independent single-failure experiments (those live in the maintenance
 benchmark).
 
 :func:`simulate_churn` rides the incremental machinery end to end: each
-removal is an edge delta through :meth:`Graph.without_nodes` (CSR patch +
+removal is an edge delta through :meth:`Graph.without_nodes` (CSR splice +
 oracle cache inheritance), member failures splice the existing
 backbone instead of rebuilding it, and validation runs on per-head balls
 that mostly survive from the previous failure's cache.
@@ -149,8 +149,8 @@ def simulate_churn_rebuild(
         report.roles[role] += 1
         # Force the generic (non-incremental) removal path: rebuild the
         # reduced graph from the full edge list with nothing carried over.
-        edges = [e for e in current.edges if node not in e]
-        reduced = Graph(current.n, edges)
+        edges = current.edge_array
+        reduced = Graph(current.n, edges[(edges != node).all(axis=1)])
         reduced._backend = current._backend
         survivors = [u for u in reduced.nodes() if u not in dead]
         if survivors and not reduced.is_connected_subset(survivors):

@@ -34,7 +34,6 @@ algorithms are defined on connected networks); the report counts them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections import deque
 
 import numpy as np
 
@@ -42,6 +41,7 @@ from ..analysis.stats import jaccard_distance
 from ..core.clustering import khop_cluster
 from ..core.pipeline import build_backbone
 from ..errors import InvalidParameterError
+from ..net.graph import Graph
 from ..net.mobility import RandomWaypoint, snapshot_edge_delta
 from ..net.topology import Topology
 from .repair import clustering_still_valid
@@ -83,32 +83,6 @@ class StabilityReport:
         return float(np.mean([getattr(s, metric) for s in self.steps]))
 
 
-def _edge_set_connected(n: int, edges) -> bool:
-    """Whether ``edges`` span all ``n`` nodes in one component.
-
-    Matches :meth:`Graph.is_connected` on the same edge set, but runs on
-    the raw snapshot edges *before* any graph is derived — so a
-    disconnected snapshot is skipped without paying
-    :meth:`Graph.with_edge_delta`'s eager oracle-cache inheritance for a
-    graph that would be thrown away.
-    """
-    if n <= 1:
-        return True
-    adj: dict[int, list[int]] = {}
-    for u, v in edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for w in adj.get(u, ()):
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len(seen) == n
-
-
 def simulate_stability(
     topology: Topology,
     k: int,
@@ -145,7 +119,10 @@ def simulate_stability(
     for step in range(1, steps + 1):
         mob.step()
         new_edges = mob.snapshot_edges(topology.radius)
-        if not _edge_set_connected(prev_graph.n, new_edges):
+        # Screened on a cold graph of the snapshot, so a disconnected
+        # snapshot is skipped without paying with_edge_delta's oracle-cache
+        # inheritance for a graph that would be thrown away.
+        if not Graph(prev_graph.n, new_edges).is_connected():
             report.skipped_disconnected += 1
             continue
         added, removed = snapshot_edge_delta(prev_graph, new_edges)
@@ -166,8 +143,8 @@ def simulate_stability(
             for u in g.nodes()
             if cl.head_of[u] != prev_cl.head_of[u]
         )
-        delta_edges = added + removed
-        touched = {u for e in delta_edges for u in e}
+        delta_edges = np.concatenate([added, removed])
+        touched = set(delta_edges.ravel().tolist())
         affected = set(g.nodes_within(sorted(touched), k)) if touched else set()
         report.steps.append(
             StabilityStep(

@@ -3,9 +3,9 @@
 The paper deploys ``N`` nodes uniformly at random in a restricted
 ``100 x 100`` area and assumes every node has the same transmission range.
 This module provides the vectorized geometric primitives that the topology
-generator builds on: uniform placement, pairwise Euclidean distances, and
-disk membership tests.  Everything is NumPy-vectorized; no Python-level
-double loops over node pairs.
+generator builds on: uniform placement and pairwise Euclidean distances.
+Everything is NumPy-vectorized; no Python-level double loops over node
+pairs.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ __all__ = [
     "random_positions",
     "grid_positions",
     "pairwise_distances",
-    "pairs_within",
-    "nearest_neighbor_distances",
     "bounding_box",
 ]
 
@@ -85,33 +83,6 @@ def pairwise_distances(positions: np.ndarray) -> np.ndarray:
         raise InvalidParameterError(f"positions must have shape (n, 2), got {pos.shape}")
     diff = pos[:, None, :] - pos[None, :, :]
     return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-
-
-def pairs_within(positions: np.ndarray, radius: float) -> list[tuple[int, int]]:
-    """All unordered node pairs at Euclidean distance ``<= radius``.
-
-    This is exactly the unit-disk edge set for transmission range ``radius``.
-    """
-    if radius < 0:
-        raise InvalidParameterError(f"radius must be >= 0, got {radius}")
-    dist = pairwise_distances(positions)
-    iu, ju = np.triu_indices(dist.shape[0], k=1)
-    mask = dist[iu, ju] <= radius
-    return list(zip(iu[mask].tolist(), ju[mask].tolist()))
-
-
-def nearest_neighbor_distances(positions: np.ndarray) -> np.ndarray:
-    """Distance from each node to its nearest other node.
-
-    The maximum of this vector is a lower bound on any radius that yields a
-    graph without isolated vertices — a cheap necessary condition used by the
-    calibration code before attempting connectivity checks.
-    """
-    dist = pairwise_distances(positions)
-    if dist.shape[0] < 2:
-        return np.zeros(dist.shape[0])
-    np.fill_diagonal(dist, np.inf)
-    return dist.min(axis=1)
 
 
 def bounding_box(positions: Sequence[Sequence[float]]) -> tuple[float, float, float, float]:

@@ -28,21 +28,32 @@ Design notes
 ------------
 * Nodes are dense integers ``0..n-1``; the paper's "lowest ID" priority is
   the natural integer order on these.
+* One representation: the CSR adjacency ``(indptr, indices)`` with
+  sorted rows, plus the lexicographically sorted ``(m, 2)`` int64
+  :attr:`Graph.edge_array`.  The constructor builds both in a few numpy
+  passes.  :attr:`Graph.edges` (a tuple of Python-int pairs) and
+  :meth:`Graph.neighbors` (a tuple of one CSR row) are views derived on
+  demand, so nothing can fall out of step with the arrays.
 * The graph is immutable, and every mutation produces a *new* graph
-  through one path, :meth:`Graph.with_edge_delta`: the sorted edge tuple
-  is spliced, the adjacency and CSR arrays are patched only around the
-  changed edges' endpoints, and lazy-family oracle caches inherit through
+  through one path, :meth:`Graph.with_edge_delta`: the sorted edge keys
+  and the sorted CSR arc keys are spliced at the changed positions (one
+  ``searchsorted`` each, no re-sort), and lazy-family oracle caches
+  inherit through
   :meth:`~repro.net.oracle.LazyDistanceOracle.inherit_edge_delta`.
   Oracles are caches over the immutable structure, so backend switches
   are safe.
+* Every connectivity query (:meth:`Graph.is_connected`,
+  :meth:`Graph.connected_components`, :meth:`Graph.component_labels`)
+  is one pass of :func:`~repro.net.oracle.csr_component_labels`; none
+  touches the distance oracles.
 * Node failure (§3.3 of the paper) is the delta that drops every incident
   edge: :meth:`Graph.without_nodes` keeps the original node numbering and
   leaves the failed nodes isolated, so results remain comparable.
   Mobility (nodes that move rather than disappear) is a snapshot diff.
 * Node arrivals (the long-lived service's growth path) take the next IDs:
-  :meth:`Graph.with_nodes` pads the graph with isolated nodes (empty
-  adjacency and CSR rows, cached rows padded with :data:`UNREACHABLE`),
-  then adds the attachment edges as an ordinary delta.
+  :meth:`Graph.with_nodes` pads the graph with isolated nodes (empty CSR
+  rows, cached rows padded with :data:`UNREACHABLE`), then adds the
+  attachment edges as an ordinary delta.
 * All backends use the int32 :data:`UNREACHABLE` sentinel and refuse
   graphs beyond :data:`~repro.net.oracle.MAX_ORACLE_NODES` nodes rather
   than silently overflowing hop distances (the seed's int16 ceiling of
@@ -51,24 +62,76 @@ Design notes
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from contextlib import contextmanager
 from functools import cached_property
-from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from ..errors import DisconnectedGraphError, InvalidParameterError
-from ..types import DistArray, Edge, IndexArray, NodeId, normalize_edge
+from ..types import DistArray, Edge, IndexArray, NodeId
 from .oracle import (
     UNREACHABLE,
     DistanceOracle,
+    _dedupe_flat,
+    _readonly,
     build_distance_oracle,
+    csr_component_labels,
+    gather_csr_neighbors,
     resolve_backend,
 )
 
 __all__ = ["Graph", "UNREACHABLE"]
+
+
+def _as_pairs(edges: Iterable[tuple[NodeId, NodeId]]) -> np.ndarray:
+    """``edges`` (an ``(m, 2)`` array or any iterable of pairs) as int64."""
+    pairs = np.asarray(
+        edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64
+    )
+    if pairs.size == 0:
+        return np.zeros((0, 2), dtype=np.int64)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise InvalidParameterError(
+            f"edges must be (u, v) pairs, got shape {pairs.shape}"
+        )
+    return pairs
+
+
+def _edge_keys(edges: Iterable[tuple[NodeId, NodeId]], n: int) -> np.ndarray:
+    """Sorted distinct keys ``u * n + v`` (``u < v``) of validated edges."""
+    pairs = _as_pairs(edges)
+    lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+    loops = np.flatnonzero(lo == hi)
+    if loops.size:
+        u = int(lo[loops[0]])
+        raise ValueError(f"self-loop edge ({u}, {u}) is not allowed")
+    bad = np.flatnonzero((lo < 0) | (hi >= n))
+    if bad.size:
+        e = (int(lo[bad[0]]), int(hi[bad[0]]))
+        raise InvalidParameterError(f"edge {e} out of range for n={n}")
+    return _dedupe_flat(lo * n + hi)
+
+
+def _arc_keys(keys: np.ndarray, n: int) -> np.ndarray:
+    """Sorted CSR arc keys (both directions) of the edge ``keys``."""
+    lo, hi = np.divmod(keys, n)
+    return np.sort(np.concatenate([keys, hi * n + lo]))
+
+
+def _member(keys: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """Boolean mask: which ``query`` keys occur in the sorted ``keys``."""
+    if keys.size == 0:
+        return np.zeros(query.size, dtype=bool)
+    pos = np.minimum(np.searchsorted(keys, query), keys.size - 1)
+    return keys[pos] == query
+
+
+def _splice(keys: np.ndarray, drop: np.ndarray, put: np.ndarray) -> np.ndarray:
+    """Sorted ``keys`` minus the present ``drop`` keys plus the absent
+    ``put`` keys: two ``searchsorted`` joins and contiguous copies."""
+    kept = np.delete(keys, np.searchsorted(keys, drop))
+    return np.insert(kept, np.searchsorted(kept, put), put)
 
 
 class Graph:
@@ -76,33 +139,36 @@ class Graph:
 
     Args:
         n: number of nodes.
-        edges: iterable of ``(u, v)`` pairs; order and duplicates are
-            normalized away.  Self-loops raise :class:`ValueError`.
+        edges: ``(u, v)`` pairs, as an ``(m, 2)`` integer array or any
+            iterable; order and duplicates are normalized away.
+            Self-loops raise :class:`ValueError`.
 
-    The constructor is O(n + m log m); all hop-distance machinery is lazy
-    and cached.
+    The constructor is O(n + m log m) numpy work; all hop-distance
+    machinery is lazy and cached.
     """
 
-    __slots__ = ("_n", "_edges", "_adj", "_oracles", "_backend", "__dict__")
+    __slots__ = (
+        "_n", "_indptr", "_indices", "_edge_array", "_oracles", "_backend",
+        "__dict__",
+    )
 
     def __init__(self, n: int, edges: Iterable[tuple[NodeId, NodeId]] = ()) -> None:
         if n < 0:
             raise InvalidParameterError(f"node count must be >= 0, got {n}")
-        self._n = int(n)
-        norm: set[Edge] = set()
-        for u, v in edges:
-            e = normalize_edge(int(u), int(v))
-            if not (0 <= e[0] < n and 0 <= e[1] < n):
-                raise InvalidParameterError(f"edge {e} out of range for n={n}")
-            norm.add(e)
-        self._edges: tuple[Edge, ...] = tuple(sorted(norm))
-        adj: list[list[int]] = [[] for _ in range(self._n)]
-        for u, v in self._edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        self._adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(a)) for a in adj)
+        n = int(n)
+        keys = _edge_keys(edges, n)
+        self._install(n, keys, _arc_keys(keys, n), None)
+
+    def _install(
+        self, n: int, keys: np.ndarray, arcs: np.ndarray, backend: str | None
+    ) -> None:
+        """Set the arrays from sorted edge keys and sorted arc keys."""
+        self._n = n
+        self._edge_array = _readonly(np.stack(np.divmod(keys, n), axis=1))
+        self._indptr = _readonly(np.searchsorted(arcs, np.arange(n + 1) * n))
+        self._indices = _readonly(arcs % n if n else arcs)
         self._oracles: dict[str, DistanceOracle] = {}
-        self._backend: str | None = None  # None = auto policy
+        self._backend = backend  # None = auto policy
 
     # ------------------------------------------------------------------ #
     # basic accessors
@@ -116,31 +182,38 @@ class Graph:
     @property
     def m(self) -> int:
         """Number of (undirected) edges."""
-        return len(self._edges)
+        return self._edge_array.shape[0]
 
     @property
+    def edge_array(self) -> IndexArray:
+        """Read-only ``(m, 2)`` int64 edges, ``u < v``, sorted by ``(u, v)``."""
+        return self._edge_array
+
+    @cached_property
     def edges(self) -> tuple[Edge, ...]:
-        """Sorted tuple of normalized edges."""
-        return self._edges
+        """Sorted tuple of normalized edges (derived from :attr:`edge_array`)."""
+        lo, hi = self._edge_array.T
+        return tuple(zip(lo.tolist(), hi.tolist()))
 
     def nodes(self) -> range:
         """Iterable over all node IDs."""
         return range(self._n)
 
     def neighbors(self, u: NodeId) -> tuple[int, ...]:
-        """Sorted tuple of ``u``'s 1-hop neighbors."""
-        return self._adj[u]
+        """Sorted tuple of ``u``'s 1-hop neighbors (one CSR row)."""
+        return tuple(self._indices[self._indptr[u] : self._indptr[u + 1]].tolist())
 
     def degree(self, u: NodeId) -> int:
         """Number of 1-hop neighbors of ``u``."""
-        return len(self._adj[u])
+        return int(self._indptr[u + 1] - self._indptr[u])
 
     def has_edge(self, u: NodeId, v: NodeId) -> bool:
         """Whether ``{u, v}`` is an edge (False for u == v)."""
         if u == v:
             return False
-        a, b = (u, v) if len(self._adj[u]) <= len(self._adj[v]) else (v, u)
-        return b in self._adj[a]
+        row = self._indices[self._indptr[u] : self._indptr[u + 1]]
+        i = int(row.searchsorted(v))
+        return i < row.size and int(row[i]) == v
 
     def average_degree(self) -> float:
         """Mean node degree, ``2m / n`` (0.0 for the empty graph)."""
@@ -155,10 +228,12 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self._n == other._n and self._edges == other._edges
+        return self._n == other._n and np.array_equal(
+            self._edge_array, other._edge_array
+        )
 
     def __hash__(self) -> int:
-        return hash((self._n, self._edges))
+        return hash((self._n, self._edge_array.tobytes()))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Graph(n={self._n}, m={self.m})"
@@ -167,27 +242,15 @@ class Graph:
     # distance backends
     # ------------------------------------------------------------------ #
 
-    @cached_property
+    @property
     def csr_adjacency(self) -> tuple[IndexArray, IndexArray]:
-        """CSR adjacency arrays ``(indptr, indices)``.
+        """CSR adjacency arrays ``(indptr, indices)`` (read-only).
 
         ``indices[indptr[u]:indptr[u+1]]`` are ``u``'s sorted neighbors.
-        This is the representation the lazy BFS kernels run on; it costs
+        This is the representation the BFS kernels run on; it costs
         O(n + m) memory regardless of graph size.
         """
-        degs = np.fromiter(
-            (len(a) for a in self._adj), dtype=np.int64, count=self._n
-        )
-        indptr = np.zeros(self._n + 1, dtype=np.int64)
-        np.cumsum(degs, out=indptr[1:])
-        indices = np.fromiter(
-            (v for a in self._adj for v in a),
-            dtype=np.int64,
-            count=int(indptr[-1]),
-        )
-        indptr.setflags(write=False)
-        indices.setflags(write=False)
-        return indptr, indices
+        return self._indptr, self._indices
 
     def distance_oracle(self, backend: str | None = None) -> DistanceOracle:
         """The distance oracle for ``backend`` (created once per backend).
@@ -342,44 +405,27 @@ class Graph:
     def is_connected(self) -> bool:
         """Whether the graph is connected (the empty graph counts as connected).
 
-        Uses a plain adjacency-list BFS so connectivity filtering of
-        candidate topologies never triggers the distance machinery.
+        One label-propagation pass over the CSR arrays, so connectivity
+        filtering of candidate topologies never triggers the distance
+        machinery.
         """
-        if self._n <= 1:
-            return True
-        seen = np.zeros(self._n, dtype=bool)
-        seen[0] = True
-        stack = [0]
-        count = 1
-        while stack:
-            u = stack.pop()
-            for v in self._adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    count += 1
-                    stack.append(v)
-        return count == self._n
-
-    def connected_components(self) -> list[tuple[int, ...]]:
-        """Connected components as sorted node tuples, largest first."""
-        comps: list[tuple[int, ...]] = []
-        seen = np.zeros(self._n, dtype=bool)
-        oracle = self.oracle
-        for u in range(self._n):
-            if seen[u]:
-                continue
-            members = np.flatnonzero(oracle.row(u) < UNREACHABLE)
-            seen[members] = True
-            comps.append(tuple(members.tolist()))
-        comps.sort(key=lambda c: (-len(c), c))
-        return comps
+        return self._n <= 1 or csr_component_labels(*self.csr_adjacency)[1] == 1
 
     def component_labels(self) -> np.ndarray:
         """Per-node index into :meth:`connected_components` (uncached)."""
-        labels = np.full(self._n, -1, dtype=np.int64)
-        for i, comp in enumerate(self.connected_components()):
-            labels[list(comp)] = i
-        return labels
+        labels, count = csr_component_labels(*self.csr_adjacency)
+        sizes = np.bincount(labels, minlength=self._n)
+        roots = np.flatnonzero(labels == np.arange(self._n))
+        rank = np.empty(self._n, dtype=np.int64)
+        rank[roots[np.lexsort((roots, -sizes[roots]))]] = np.arange(count)
+        return rank[labels]
+
+    def connected_components(self) -> list[tuple[int, ...]]:
+        """Connected components as sorted node tuples, largest first."""
+        index = self.component_labels()
+        order = np.argsort(index, kind="stable")
+        cuts = np.flatnonzero(np.diff(index[order])) + 1
+        return [tuple(c.tolist()) for c in np.split(order, cuts)] if self._n else []
 
     def is_connected_subset(self, nodes: Iterable[NodeId]) -> bool:
         """Whether the subgraph induced by ``nodes`` is connected.
@@ -394,9 +440,10 @@ class Graph:
         root = node_list[0]
         stack = [root]
         seen = {root}
+        indptr, indices = self._indptr, self._indices
         while stack:
             u = stack.pop()
-            for v in self._adj[u]:
+            for v in indices[indptr[u] : indptr[u + 1]].tolist():
                 if v in node_set and v not in seen:
                     seen.add(v)
                     stack.append(v)
@@ -411,21 +458,22 @@ class Graph:
 
         Node numbering is preserved so that clusterings computed before and
         after a failure are directly comparable (§3.3 maintenance).  A
-        removal is the edge delta that drops every incident edge, so it
-        runs through :meth:`with_edge_delta` for any number of nodes (CSR
-        patch plus cache inheritance); removing already-isolated nodes is
-        an empty delta and returns ``self``.
+        removal is the edge delta that drops every incident edge (one CSR
+        gather), so it runs through :meth:`with_edge_delta` for any number
+        of nodes; removing already-isolated nodes is an empty delta and
+        returns ``self``.
         """
-        gone = sorted({int(u) for u in removed})
-        for u in gone:
-            if not (0 <= u < self._n):
-                raise InvalidParameterError(f"node {u} out of range")
+        gone = _dedupe_flat(np.fromiter(removed, dtype=np.int64))
+        bad = gone[(gone < 0) | (gone >= self._n)]
+        if bad.size:
+            raise InvalidParameterError(f"node {int(bad[0])} out of range")
+        nbrs, counts = gather_csr_neighbors(self._indptr, self._indices, gone)
         return self.with_edge_delta(
-            removed=[(u, v) for u in gone for v in self._adj[u]]
+            removed=np.stack([np.repeat(gone, counts), nbrs], axis=1)
         )
 
     def _inherit_lazy_oracles(
-        self, g: "Graph", added: Sequence[Edge], removed: Sequence[Edge]
+        self, g: "Graph", added: np.ndarray, removed: np.ndarray
     ) -> None:
         """Derive ``g``'s lazy-family oracles from this graph's.
 
@@ -446,17 +494,6 @@ class Graph:
                 child.inherit_edge_delta(parent, added, removed)
                 g._oracles[name] = child
 
-    def _checked_edges(
-        self, edges: Iterable[tuple[NodeId, NodeId]]
-    ) -> set[Edge]:
-        out: set[Edge] = set()
-        for u, v in edges:
-            e = normalize_edge(int(u), int(v))
-            if not (0 <= e[0] < self._n and 0 <= e[1] < self._n):
-                raise InvalidParameterError(f"edge {e} out of range for n={self._n}")
-            out.add(e)
-        return out
-
     def with_edge_delta(
         self,
         added: Iterable[tuple[NodeId, NodeId]] = (),
@@ -467,11 +504,10 @@ class Graph:
         The one mutation that carries caches: mobility snapshots, link
         faults, node removals (:meth:`without_nodes`) and the attach step
         of node arrivals (:meth:`with_nodes`) all arrive here.  Instead
-        of rebuilding from the full edge list, the sorted edge tuple is
-        spliced at the changed positions, the adjacency and CSR arrays
-        are patched only for the *touched* nodes (endpoints of changed
-        edges), and every lazy-family oracle carries its still-valid
-        cached rows, partial rows and balls into the derived graph via
+        of rebuilding from the full edge list, the sorted edge keys and
+        the sorted CSR arc keys are spliced at the changed positions, and
+        every lazy-family oracle carries its still-valid cached rows,
+        partial rows and balls into the derived graph via
         :meth:`~repro.net.oracle.LazyDistanceOracle.inherit_edge_delta`.
 
         Already-present ``added`` edges and absent ``removed`` edges are
@@ -479,83 +515,32 @@ class Graph:
         both sets raises.  An empty *effective* delta returns ``self``
         (graphs are immutable, so sharing is safe).
         """
-        add = self._checked_edges(added)
-        rem = self._checked_edges(removed)
-        overlap = add & rem
-        if overlap:
-            raise InvalidParameterError(
-                f"edges both added and removed: {sorted(overlap)[:3]}"
-            )
-        add = {e for e in add if not self.has_edge(*e)}
-        rem = {e for e in rem if self.has_edge(*e)}
-        if not add and not rem:
+        n = self._n
+        add = _edge_keys(added, n)
+        rem = _edge_keys(removed, n)
+        both = [divmod(int(k), n) for k in add[_member(rem, add)][:3]]
+        if both:
+            raise InvalidParameterError(f"edges both added and removed: {both}")
+        keys = self._edge_array[:, 0] * n + self._edge_array[:, 1]
+        add = add[~_member(keys, add)]
+        rem = rem[_member(keys, rem)]
+        if add.size == 0 and rem.size == 0:
             return self
-        # Splice the sorted edge tuple: O(delta log m) bisects plus
-        # contiguous slice copies, never a re-sort of all m edges.
-        parts: list[tuple[Edge, ...]] = []
-        prev = 0
-        for e in sorted(add | rem):
-            i = bisect_left(self._edges, e, prev)
-            parts.append(self._edges[prev:i])
-            if e in add:
-                parts.append((e,))
-                prev = i
-            else:
-                prev = i + 1
-        parts.append(self._edges[prev:])
-        touched = sorted({x for e in add for x in e} | {x for e in rem for x in e})
+        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(self._indptr))
+        arcs = rows * n + self._indices
         g = Graph.__new__(Graph)
-        g._n = self._n
-        g._edges = tuple(chain.from_iterable(parts))
-        adj = list(self._adj)
-        patch: dict[int, set[int]] = {t: set(self._adj[t]) for t in touched}
-        for u, v in rem:
-            patch[u].discard(v)
-            patch[v].discard(u)
-        for u, v in add:
-            patch[u].add(v)
-            patch[v].add(u)
-        for t in touched:
-            adj[t] = tuple(sorted(patch[t]))
-        g._adj = tuple(adj)
-        g._oracles = {}
-        g._backend = self._backend
-        if "csr_adjacency" in self.__dict__:
-            g.__dict__["csr_adjacency"] = self._patched_csr(g._adj, touched)
-        self._inherit_lazy_oracles(g, sorted(add), sorted(rem))
+        g._install(
+            n,
+            _splice(keys, rem, add),
+            _splice(arcs, _arc_keys(rem, n), _arc_keys(add, n)),
+            self._backend,
+        )
+        self._inherit_lazy_oracles(
+            g,
+            np.stack(np.divmod(add, n), axis=1),
+            np.stack(np.divmod(rem, n), axis=1),
+        )
         return g
-
-    def _patched_csr(
-        self, new_adj: Sequence[tuple[int, ...]], touched: Sequence[int]
-    ) -> tuple[IndexArray, IndexArray]:
-        """CSR arrays for ``new_adj``, reusing this graph's cached CSR.
-
-        Only the touched nodes' slices are rewritten; the (typically much
-        larger) untouched spans between them are copied contiguously —
-        O(#touched) Python iterations plus O(m) memcpy, never an
-        O(m log m) rebuild from the edge list.
-        """
-        indptr, indices = self.csr_adjacency
-        new_degs = np.diff(indptr).copy()
-        for t in touched:
-            new_degs[t] = len(new_adj[t])
-        new_indptr = np.zeros(self._n + 1, dtype=np.int64)
-        np.cumsum(new_degs, out=new_indptr[1:])
-        new_indices = np.empty(int(new_indptr[-1]), dtype=np.int64)
-        prev = 0
-        for t in [*touched, self._n]:
-            if t > prev:  # contiguous untouched span [prev, t)
-                new_indices[new_indptr[prev] : new_indptr[t]] = indices[
-                    indptr[prev] : indptr[t]
-                ]
-            if t < self._n:
-                new_indices[new_indptr[t] : new_indptr[t + 1]] = np.asarray(
-                    new_adj[t], dtype=np.int64
-                )
-            prev = t + 1
-        new_indptr.setflags(write=False)
-        new_indices.setflags(write=False)
-        return new_indptr, new_indices
 
     def with_nodes(
         self,
@@ -573,11 +558,11 @@ class Graph:
         purely among existing nodes is :meth:`with_edge_delta`'s job.
 
         An arrival is two steps.  The *pad* step appends the new nodes
-        isolated: empty adjacency and CSR rows, and every lazy-family
-        oracle's cached and partial rows padded with
-        :data:`UNREACHABLE` (exact — isolated nodes are unreachable and
-        join no ball).  The attachment edges then arrive as an ordinary
-        :meth:`with_edge_delta`.
+        isolated: empty CSR rows (``indptr`` repeats its last offset),
+        and every lazy-family oracle's cached and partial rows padded
+        with :data:`UNREACHABLE` (exact — isolated nodes are unreachable
+        and join no ball).  The attachment edges then arrive as an
+        ordinary :meth:`with_edge_delta`.
 
         ``inherit_oracles=False`` skips the carry and starts the grown
         graph with empty oracle caches.  Carrying costs O(cache) *per
@@ -593,47 +578,29 @@ class Graph:
         if count < 0:
             raise InvalidParameterError(f"node count must be >= 0, got {count}")
         new_n = self._n + count
-        add: set[Edge] = set()
-        for u, v in edges:
-            e = normalize_edge(int(u), int(v))
-            if not (0 <= e[0] < new_n and e[1] < new_n):
-                raise InvalidParameterError(
-                    f"edge {e} out of range for grown n={new_n}"
-                )
-            if e[1] < self._n:
-                raise InvalidParameterError(
-                    f"with_nodes edge {e} joins two existing nodes; "
-                    "use with_edge_delta for pure edge changes"
-                )
-            add.add(e)
+        add = np.divmod(_edge_keys(edges, new_n), new_n)
+        old = np.flatnonzero(add[1] < self._n)
+        if old.size:
+            e = (int(add[0][old[0]]), int(add[1][old[0]]))
+            raise InvalidParameterError(
+                f"with_nodes edge {e} joins two existing nodes; "
+                "use with_edge_delta for pure edge changes"
+            )
         if count == 0:
             return self
         g = Graph.__new__(Graph)
         g._n = new_n
-        g._edges = self._edges
-        g._adj = self._adj + ((),) * count
+        g._edge_array = self._edge_array
+        g._indptr = _readonly(
+            np.concatenate([self._indptr, np.repeat(self._indptr[-1:], count)])
+        )
+        g._indices = self._indices
         g._oracles = {}
         g._backend = self._backend
-        if "csr_adjacency" in self.__dict__:
-            indptr, indices = self.csr_adjacency
-            tail = np.full(count, indptr[-1], dtype=np.int64)
-            padded = np.concatenate([indptr, tail])
-            padded.setflags(write=False)
-            g.__dict__["csr_adjacency"] = (padded, indices)
         if inherit_oracles:
-            self._inherit_lazy_oracles(g, (), ())
-        return g.with_edge_delta(added=add)
-
-    def with_edges(self, extra: Iterable[tuple[NodeId, NodeId]]) -> "Graph":
-        """Copy of the graph with additional edges."""
-        g = Graph(self._n, list(self._edges) + list(extra))
-        g._backend = self._backend
-        return g
-
-    def induced_subgraph_edges(self, nodes: Iterable[NodeId]) -> list[Edge]:
-        """Edges of the subgraph induced by ``nodes`` (original numbering)."""
-        s = set(nodes)
-        return [e for e in self._edges if e[0] in s and e[1] in s]
+            empty = np.zeros((0, 2), dtype=np.int64)
+            self._inherit_lazy_oracles(g, empty, empty)
+        return g.with_edge_delta(added=np.stack(add, axis=1))
 
     # ------------------------------------------------------------------ #
     # conversions
@@ -645,7 +612,7 @@ class Graph:
 
         g = nx.Graph()
         g.add_nodes_from(range(self._n))
-        g.add_edges_from(self._edges)
+        g.add_edges_from(self.edges)
         return g
 
     @classmethod
@@ -662,6 +629,5 @@ class Graph:
     @classmethod
     def from_edge_list(cls, edges: Iterable[tuple[NodeId, NodeId]]) -> "Graph":
         """Build a graph whose size is inferred from the maximum endpoint."""
-        edge_list = [normalize_edge(u, v) for u, v in edges]
-        n = 1 + max((e[1] for e in edge_list), default=-1)
-        return cls(n, edge_list)
+        pairs = _as_pairs(edges)
+        return cls(int(pairs.max()) + 1 if pairs.size else 0, pairs)

@@ -20,9 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InvalidParameterError
-from ..types import Edge, normalize_edge
 from .geometry import Area
-from .graph import Graph
+from .graph import Graph, _edge_keys, _member
 from .topology import unit_disk_edges, unit_disk_graph
 
 __all__ = ["RandomWaypoint", "ChurnProcess", "snapshot_edge_delta"]
@@ -126,29 +125,37 @@ class RandomWaypoint:
         """Unit-disk graph of the current positions."""
         return unit_disk_graph(self._pos, radius)
 
-    def snapshot_edges(self, radius: float) -> set[Edge]:
-        """Normalized unit-disk edge set of the current positions.
+    def snapshot_edges(self, radius: float) -> np.ndarray:
+        """Unit-disk edge array of the current positions.
 
-        The raw material for :func:`snapshot_edge_delta` — no
+        The raw material for :func:`snapshot_edge_delta`, in
+        :attr:`Graph.edge_array` form (:func:`unit_disk_edges`) — no
         :class:`Graph` is constructed.
         """
-        return {
-            normalize_edge(u, v) for u, v in unit_disk_edges(self._pos, radius)
-        }
+        return unit_disk_edges(self._pos, radius)
 
 
 def snapshot_edge_delta(
-    graph: Graph, new_edges: set[Edge]
-) -> tuple[list[Edge], list[Edge]]:
-    """Diff a snapshot's edge set against ``graph``: ``(added, removed)``.
+    graph: Graph, new_edges: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Diff a snapshot's edges against ``graph``: ``(added, removed)``.
 
-    Both lists are sorted (deterministic downstream processing); feed them
-    to :meth:`Graph.with_edge_delta` to evolve the graph incrementally.
-    ``new_edges`` must be normalized (as :meth:`RandomWaypoint.snapshot_edges`
-    returns them).
+    ``new_edges`` are ``(u, v)`` pairs, e.g. the edge array
+    :meth:`RandomWaypoint.snapshot_edges` returns.  Both results are
+    ``(k, 2)`` int64 arrays sorted by ``(u, v)`` (deterministic
+    downstream processing), found by two ``searchsorted`` joins of the
+    sorted edge keys; feed them to :meth:`Graph.with_edge_delta` to
+    evolve the graph incrementally.
     """
-    old_edges = set(graph.edges)
-    return sorted(new_edges - old_edges), sorted(old_edges - new_edges)
+    n = graph.n
+    old = graph.edge_array[:, 0] * n + graph.edge_array[:, 1]
+    new = _edge_keys(new_edges, n)
+    added = new[~_member(old, new)]
+    removed = old[~_member(new, old)]
+    return (
+        np.stack(np.divmod(added, n), axis=1),
+        np.stack(np.divmod(removed, n), axis=1),
+    )
 
 
 @dataclass

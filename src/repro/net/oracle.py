@@ -561,7 +561,7 @@ def _csr_bfs(
         nbrs = nbrs[dist[nbrs] == UNREACHABLE]
         if nbrs.size == 0:
             break
-        frontier = np.unique(nbrs)
+        frontier = _dedupe_flat(nbrs)
         dist[frontier] = level
         reached.append(frontier)
     visited = np.sort(np.concatenate(reached)) if len(reached) > 1 else reached[0]
@@ -1083,8 +1083,9 @@ class LazyDistanceOracle(DistanceOracle):
         """Seed caches from ``parent`` after an edge delta — the distance
         layer's one inheritance certificate.
 
-        ``added`` / ``removed`` are the changed (normalized) edges.  Every
-        graph mutation arrives here: mobility snapshots and link faults,
+        ``added`` / ``removed`` are the changed (normalized) edges, as
+        ``(k, 2)`` arrays or pair lists (their order does not matter).
+        Every graph mutation arrives here: mobility snapshots and link faults,
         node removals (all incident edges removed) and node arrivals.  An
         arrival first *pads*: this oracle's graph may append isolated
         nodes at IDs ``>= parent.graph.n``, and carried rows are padded
@@ -1138,8 +1139,8 @@ class LazyDistanceOracle(DistanceOracle):
             out[:old_n] = row
             return _readonly(out)
 
-        add = np.asarray(sorted(added), dtype=np.intp).reshape(-1, 2)
-        rem = np.asarray(sorted(removed), dtype=np.intp).reshape(-1, 2)
+        add = np.asarray(added, dtype=np.intp).reshape(-1, 2)
+        rem = np.asarray(removed, dtype=np.intp).reshape(-1, 2)
         na = add.shape[0]
         touched = np.unique(np.concatenate([add.ravel(), rem.ravel()]))
         # Chained parent partials go first, so _cap_partial_rows'
@@ -1332,7 +1333,7 @@ class LazyDistanceOracle(DistanceOracle):
             nbrs = nbrs[dist[nbrs] == UNREACHABLE]
             if nbrs.size == 0:
                 break
-            frontier = np.unique(nbrs)
+            frontier = _dedupe_flat(nbrs)
             dist[frontier] = level
         self._rows_reexpanded += 1
         return dist

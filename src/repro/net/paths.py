@@ -78,11 +78,16 @@ def canonical_path(graph: Graph, u: NodeId, v: NodeId) -> tuple[int, ...]:
     d = int(dist[t])
     if d >= UNREACHABLE:
         raise DisconnectedGraphError(f"no path between {u} and {v}")
-    # Walk back from t toward s picking the min-ID predecessor each hop.
+    # Walk back from t toward s picking the min-ID predecessor each hop:
+    # CSR rows are sorted, so that is the row's first node one level up.
+    indptr, indices = graph.csr_adjacency
     rev = [t]
     cur = t
-    for step in range(d, 0, -1):
-        cur = min(w for w in graph.neighbors(cur) if dist[w] == step - 1)
+    for level in range(d - 1, -1, -1):
+        for w in indices[indptr[cur] : indptr[cur + 1]].tolist():
+            if dist[w] == level:
+                cur = w
+                break
         rev.append(cur)
     path = tuple(reversed(rev))  # s .. t
     assert path[0] == s and path[-1] == t and len(path) == d + 1

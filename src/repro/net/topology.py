@@ -7,6 +7,16 @@ useless for connected-clustering experiments, so the generator redraws until
 the unit-disk graph is connected (standard practice in this literature, and
 implied by the paper's Theorem 1 premise that ``G`` is connected).
 
+Edges come from one path, :func:`unit_disk_edges`: nodes are binned into
+radius-sized grid cells and only pairs in the same or adjacent cells are
+measured, so no ``(n, n)`` distance matrix is formed at any size.  It
+returns the edges as an array, and :func:`random_topology` rejects a
+draw with an isolated node (one ``bincount`` over those arrays) before it
+builds any :class:`Graph`; only the remaining draws pay for the CSR
+arrays and one connectivity pass.  Rejection never changes what is
+accepted: positions are drawn exactly as before and a graph with an
+isolated node (``n >= 2``) is disconnected anyway.
+
 Two radius-calibration modes are offered:
 
 * ``"analytic"`` — ``r = sqrt(D * A / (pi * N))`` equates the expected
@@ -27,6 +37,7 @@ import numpy as np
 from ..errors import CalibrationError, InvalidParameterError
 from .geometry import PAPER_AREA, Area, pairwise_distances, random_positions
 from .graph import Graph
+from .oracle import csr_offsets
 
 __all__ = [
     "Topology",
@@ -35,7 +46,6 @@ __all__ = [
     "unit_disk_edges",
     "unit_disk_graph",
     "random_topology",
-    "CELL_BIN_MIN_N",
 ]
 
 
@@ -78,7 +88,7 @@ class Topology:
         with the same float expression as :func:`unit_disk_edges` so
         growth and from-scratch generation agree bit-identically at the
         radius knife-edge.  The underlying graph grows through
-        :meth:`Graph.with_nodes` (CSR patching + oracle cache
+        :meth:`Graph.with_nodes` (CSR splice + oracle cache
         inheritance); an arrival outside everyone's range still joins the
         topology, just as an isolated node.
         """
@@ -110,118 +120,71 @@ def radius_for_degree(n: int, degree: float, area: Area = PAPER_AREA) -> float:
     return math.sqrt(degree * a / (math.pi * (n - 1)))
 
 
-#: ``unit_disk_graph`` switches from the dense O(n²) distance matrix to
-#: cell-binned candidate search above this many nodes.
-CELL_BIN_MIN_N: int = 1024
-
-
-def _cell_binned_disk_edges(pos: np.ndarray, radius: float) -> list[tuple[int, int]]:
-    """Unit-disk edges via spatial hashing: O(n · local density) work.
-
-    Nodes are binned into a grid of ``radius``-sized cells; only pairs in
-    the same or adjacent cells can be within range, and each adjacent cell
-    pair is visited once (half-neighborhood stencil), so no O(n²) distance
-    matrix is ever formed.  The whole candidate-pair construction is
-    array-level: nodes are sorted by cell key once, each stencil offset
-    becomes one ``searchsorted`` join of all nodes against all target
-    cells, and candidate pairs are materialized with ``repeat``/offset
-    arithmetic — no Python per-cell loop (this runs once per mobility
-    snapshot, so it is on the simulation hot path).
-    """
-    n = pos.shape[0]
-    if n < 2 or radius < 0:
-        return []
-    if radius == 0:
-        # Degenerate but must match the dense path: only coincident points
-        # are "within range 0" of each other.
-        groups: dict[tuple[float, float], list[int]] = {}
-        for i, p in enumerate(map(tuple, pos.tolist())):
-            groups.setdefault(p, []).append(i)
-        return [
-            (mem[a], mem[b])
-            for mem in groups.values()
-            for a in range(len(mem))
-            for b in range(a + 1, len(mem))
-        ]
-    cells = np.floor(pos / radius).astype(np.int64)
-    cx, cy = cells[:, 0], cells[:, 1]
-    # Collision-free scalar cell key (grid coordinates are bounded by
-    # area/radius, far below 2^31).
-    shift = np.int64(1) << np.int64(31)
-    key = cx * shift + cy
-    order = np.argsort(key, kind="stable")
-    skey = key[order]
-    starts = np.flatnonzero(np.concatenate([[True], skey[1:] != skey[:-1]]))
-    uniq_keys = skey[starts]
-    bounds = np.concatenate([starts, [n]])
-    pairs_i: list[np.ndarray] = []
-    pairs_j: list[np.ndarray] = []
-    # (0,0) covers within-cell pairs; the four forward offsets visit every
-    # unordered pair of adjacent cells exactly once.
-    for dx, dy in ((0, 0), (1, 0), (0, 1), (1, 1), (1, -1)):
-        target = key + np.int64(dx) * shift + np.int64(dy)
-        cell_pos = np.searchsorted(uniq_keys, target)
-        cell_pos = np.clip(cell_pos, 0, uniq_keys.size - 1)
-        hit = uniq_keys[cell_pos] == target
-        src = np.flatnonzero(hit)
-        if src.size == 0:
-            continue
-        lo = bounds[cell_pos[src]]
-        hi = bounds[cell_pos[src] + 1]
-        counts = hi - lo
-        total = int(counts.sum())
-        if total == 0:
-            continue
-        # Concatenate [lo_i, hi_i) ranges without a Python loop.
-        offsets = np.repeat(hi - np.cumsum(counts), counts) + np.arange(total)
-        jj = order[offsets]
-        ii = np.repeat(src, counts)
-        if dx == 0 and dy == 0:
-            keep = ii < jj  # each unordered within-cell pair once
-            ii, jj = ii[keep], jj[keep]
-        pairs_i.append(ii)
-        pairs_j.append(jj)
-    if not pairs_i:
-        return []
-    ii = np.concatenate(pairs_i)
-    jj = np.concatenate(pairs_j)
-    diff = pos[ii] - pos[jj]
-    # Same float expression as geometry.pairwise_distances (the dense
-    # path), so both unit_disk_edges routes share bit-identical
-    # inclusion at the radius knife-edge.
-    ok = np.sqrt(np.einsum("ij,ij->i", diff, diff)) <= radius
-    return list(zip(ii[ok].tolist(), jj[ok].tolist()))
-
-
-def unit_disk_edges(positions: np.ndarray, radius: float) -> list[tuple[int, int]]:
+def unit_disk_edges(positions: np.ndarray, radius: float) -> np.ndarray:
     """The unit-disk edge set of ``positions`` without building a graph.
 
-    The mobility loop diffs consecutive snapshots' edge sets to feed
-    :meth:`Graph.with_edge_delta`, so it needs the raw edges — paying the
-    ``Graph`` constructor for a throwaway object would negate part of the
-    delta win.  Edge orientation is unspecified; normalize before set
-    arithmetic.
+    Returns the ``(m, 2)`` int64 array of pairs ``u < v`` at Euclidean
+    distance ``<= radius``, sorted by ``(u, v)`` — the form of
+    :attr:`Graph.edge_array`.  The mobility loop diffs consecutive
+    snapshots' edge arrays to feed :meth:`Graph.with_edge_delta`, and
+    :func:`random_topology` screens draws on them, so neither pays the
+    ``Graph`` constructor for a throwaway object.
+
+    Spatial hashing does O(n · local density) work: nodes are binned into
+    a grid of cells at least ``radius`` wide, so every in-range pair sits
+    in the same or adjacent cells, and each adjacent cell pair is visited
+    once (half-neighborhood stencil).  Nodes are sorted by cell key once,
+    each stencil offset becomes one ``searchsorted`` join of all nodes
+    against all target cells, and candidate pairs are materialized with
+    ``repeat``/offset arithmetic — no Python per-cell loop (this runs once
+    per mobility snapshot and once per topology draw).
     """
     if radius < 0:
         raise InvalidParameterError(f"radius must be >= 0, got {radius}")
     pos = np.asarray(positions, dtype=np.float64)
     n = pos.shape[0]
-    if n > CELL_BIN_MIN_N:
-        return _cell_binned_disk_edges(pos, radius)
-    dist = pairwise_distances(pos)
-    iu, ju = np.triu_indices(n, k=1)
-    mask = dist[iu, ju] <= radius
-    return list(zip(iu[mask].tolist(), ju[mask].tolist()))
+    if n < 2:
+        return np.zeros((0, 2), dtype=np.int64)
+    origin = pos.min(axis=0)
+    extent = float((pos.max(axis=0) - origin).max())
+    # Cells a hair wider than the radius keep every in-range pair within
+    # one cell step despite rounding.  The floor on the side bounds the
+    # grid at 2**20 cells a side (so the scalar key below cannot overflow)
+    # and gives radius 0, where only coincident points connect, a
+    # positive side.
+    side = max(radius * (1.0 + 2.0**-20), extent * 2.0**-20) or 1.0
+    cells = np.floor((pos - origin) / side).astype(np.int64)
+    shift = np.int64(1) << np.int64(31)
+    key = cells[:, 0] * shift + cells[:, 1]
+    order = np.argsort(key)
+    skey = key[order]
+    starts = np.flatnonzero(np.concatenate([[True], skey[1:] != skey[:-1]]))
+    uniq_keys = skey[starts]
+    bounds = np.concatenate([starts, [n]])
+    # (0,0) covers within-cell pairs; the four forward offsets visit every
+    # unordered pair of adjacent cells exactly once.  All five join every
+    # node against its target cells in one searchsorted.
+    stencil = np.array([0, shift, 1, shift + 1, shift - 1], dtype=np.int64)
+    target = (key + stencil[:, None]).ravel()
+    cell_pos = np.minimum(np.searchsorted(uniq_keys, target), uniq_keys.size - 1)
+    src = np.flatnonzero(uniq_keys[cell_pos] == target)
+    offsets, counts = csr_offsets(bounds, cell_pos[src])
+    ii = np.repeat(src % n, counts)
+    jj = order[offsets]
+    keep = np.repeat(src >= n, counts) | (ii < jj)  # within-cell pairs once
+    ii, jj = ii[keep], jj[keep]
+    diff = pos[ii] - pos[jj]
+    # The same float expression as Topology.with_node and the service's
+    # join, so growth and generation agree at the radius knife-edge.
+    ok = np.sqrt(np.einsum("ij,ij->i", diff, diff)) <= radius
+    lo = np.minimum(ii[ok], jj[ok])
+    hi = np.maximum(ii[ok], jj[ok])
+    keys = np.sort(lo * n + hi)
+    return np.stack(np.divmod(keys, n), axis=1)
 
 
 def unit_disk_graph(positions: np.ndarray, radius: float) -> Graph:
-    """Unit-disk graph: an edge wherever Euclidean distance <= ``radius``.
-
-    Small inputs use the dense pairwise-distance matrix; above
-    :data:`CELL_BIN_MIN_N` nodes the edge set is built by cell binning
-    (identical edges, sub-quadratic memory), which is what makes the
-    large-N scaling scenarios feasible.
-    """
+    """Unit-disk graph: an edge wherever Euclidean distance <= ``radius``."""
     pos = np.asarray(positions, dtype=np.float64)
     return Graph(pos.shape[0], unit_disk_edges(pos, radius))
 
@@ -328,7 +291,10 @@ def random_topology(
             radius = calibrate_radius(n, degree, area, rng=root)
     for attempt in range(1, max_attempts + 1):
         positions = random_positions(n, area, root)
-        graph = unit_disk_graph(positions, radius)
+        edges = unit_disk_edges(positions, radius)
+        if require_connected and np.bincount(edges.ravel(), minlength=n).min() == 0:
+            continue  # an isolated node: disconnected, no Graph built
+        graph = Graph(n, edges)
         if not require_connected or graph.is_connected():
             return Topology(
                 graph=graph,

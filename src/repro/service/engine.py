@@ -538,16 +538,14 @@ class ServiceEngine:
     ) -> set[Edge]:
         """Filter a link event's edges to applicable ones."""
         g = self.graph
-        have = set(g.edges)
         out: set[Edge] = set()
         for u, v in edges:
             if not (0 <= u < g.n and 0 <= v < g.n):
                 continue
             if u in self.dead or v in self.dead:
                 continue
-            e = normalize_edge(u, v)
-            if (e in have) == present:
-                out.add(e)
+            if g.has_edge(u, v) == present:
+                out.add(normalize_edge(u, v))
         return out
 
     def _apply_edge_delta(
@@ -641,6 +639,14 @@ class ServiceEngine:
             return
         for inc in incidents:
             self._incident(inc)
+        if incidents[0].guard == "csr":
+            # Re-elect on arrays rebuilt from the edge array, the record
+            # the fingerprint and checkpoints serialize, not on the
+            # corrupt CSR (fresh oracles: cached rows came from it too).
+            g = self.graph
+            self._set_graph(
+                Graph(g.n, g.edge_array).use_distance_backend(self.config.backend)
+            )
         self._scoped_rebuild(event)
 
     def _incident(self, incident: GuardIncident) -> None:
@@ -661,7 +667,7 @@ class ServiceEngine:
         g = self.graph
         return {
             "n": g.n,
-            "edges": [[int(u), int(v)] for u, v in g.edges],
+            "edges": g.edge_array.tolist(),
             "positions": [
                 [float(a), float(b)] for a, b in self.topology.positions
             ],
@@ -721,8 +727,7 @@ class ServiceEngine:
         """
         engine = cls(config, directory, _defer=True)
         n = int(state["n"])
-        edges = [normalize_edge(int(u), int(v)) for u, v in state["edges"]]
-        g = Graph(n, edges)
+        g = Graph(n, state["edges"])
         g.use_distance_backend(config.backend)
         positions = np.asarray(state["positions"], dtype=np.float64)
         engine.topology = Topology(
@@ -748,8 +753,8 @@ class ServiceEngine:
             struct_clustering = clustering
             struct_graph = g
         else:
-            struct_edges = [e for e in edges if e[1] < n_struct]
-            struct_graph = Graph(n_struct, struct_edges)
+            edges = g.edge_array
+            struct_graph = Graph(n_struct, edges[edges[:, 1] < n_struct])
             struct_graph.use_distance_backend(config.backend)
             struct_clustering = Clustering(
                 graph=struct_graph,

@@ -11,8 +11,9 @@ offline.  Each is a few numpy passes over the graph's CSR arrays:
    every CSR index is a node; the sorted forward arc keys ``u * n + v``
    equal the sorted reverse keys ``v * n + u`` (every arc paired with
    its reverse, multiplicities included); and the deduplicated
-   ``u <= v`` keys equal the keys of the graph's normalized edge tuple,
-   read once per check.
+   ``u <= v`` keys equal the keys of the graph's edge array.  A CSR that
+   fails this guard is reported alone: the other guards index through
+   it, so they wait for the rebuilt graph.
 2. **cover validity** (:func:`check_cover`, via
    :func:`~repro.maintenance.repair.clustering_still_valid`) — every
    alive node sits within ``k`` hops of its assigned head: the heads'
@@ -41,7 +42,6 @@ the run's incident log, and falls back to a scoped rebuild.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Any, Optional
 
 import numpy as np
@@ -123,16 +123,14 @@ def check_csr_symmetry(graph: Graph) -> Optional[str]:
             v, u = divmod(int(rev[i]), n)
         return f"CSR adjacency asymmetric: arc ({u}, {v}) has no reverse"
     realized = _dedupe_flat(keys[rows <= indices])
-    flat = np.fromiter(
-        chain.from_iterable(graph.edges), dtype=np.int64, count=2 * graph.m
-    )
-    lo, hi = flat[0::2], flat[1::2]
+    pairs = graph.edge_array
+    lo, hi = pairs[:, 0], pairs[:, 1]
     if bool(((lo >= 0) & (lo < hi) & (hi < n)).all()) and np.array_equal(
         realized, _dedupe_flat(lo * n + hi)
     ):
         return None
     arcs = {(int(k) // n, int(k) % n) for k in realized}
-    edges = set(graph.edges)
+    edges = set(zip(lo.tolist(), hi.tolist()))
     missing = sorted(edges - arcs)[:3]
     extra = sorted(arcs - edges)[:3]
     return f"CSR edge set diverges: missing={missing} extra={extra}"
@@ -185,12 +183,14 @@ def run_guards(
     """Run every guard against the live state; empty list = healthy.
 
     ``backbone=None`` (degraded mode, e.g. after a partition) skips the
-    backbone battery — cover and CSR guards still run.
+    backbone battery — cover and CSR guards still run.  A failed CSR
+    guard returns its incident alone: the cover and backbone guards
+    gather through the CSR arrays and would index past corrupt ones.
     """
-    incidents: list[GuardIncident] = []
     msg = check_csr_symmetry(graph)
     if msg is not None:
-        incidents.append(GuardIncident("csr", msg, seq, kind))
+        return [GuardIncident("csr", msg, seq, kind)]
+    incidents: list[GuardIncident] = []
     msg = check_cover(clustering, graph, dead)
     if msg is not None:
         incidents.append(GuardIncident("cover", msg, seq, kind))

@@ -300,7 +300,7 @@ def simulate_mobile_traffic(
     )
     # Both engines start from a cold copy so the comparison is honest:
     # neither inherits whatever caches the caller's topology accumulated.
-    graph = Graph(topology.graph.n, topology.graph.edges)
+    graph = Graph(topology.graph.n, topology.graph.edge_array)
     graph._backend = topology.graph._backend
     report = MobileTrafficReport(engine=engine, k=k, algorithm=algorithm)
     if collect_walks:
@@ -324,9 +324,8 @@ def simulate_mobile_traffic(
                     removed: list = []
                 else:
                     mob.step()
-                    added, removed = snapshot_edge_delta(
-                        graph, mob.snapshot_edges(topology.radius)
-                    )
+                    snapshot = mob.snapshot_edges(topology.radius)
+                    added, removed = snapshot_edge_delta(graph, snapshot)
                     if engine == "delta":
                         derived = graph.with_edge_delta(added, removed)
                         if derived is not graph:  # empty deltas return self:
@@ -351,11 +350,11 @@ def simulate_mobile_traffic(
                                     )
                         graph = derived
                     else:
-                        g = Graph(graph.n, set(graph.edges) - set(removed) | set(added))
+                        g = Graph(graph.n, snapshot)
                         g._backend = graph._backend
                         graph = g
-                    pending_touched.update(x for e in added for x in e)
-                    pending_touched.update(x for e in removed for x in e)
+                    pending_touched.update(added.ravel().tolist())
+                    pending_touched.update(removed.ravel().tolist())
 
                 if not graph.is_connected():
                     delivered = workload.delivered_fraction(graph.component_labels())

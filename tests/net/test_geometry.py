@@ -7,8 +7,6 @@ from repro.errors import InvalidParameterError
 from repro.net.geometry import (
     bounding_box,
     grid_positions,
-    nearest_neighbor_distances,
-    pairs_within,
     pairwise_distances,
     random_positions,
 )
@@ -75,30 +73,7 @@ class TestPairwiseDistances:
         assert (np.diag(d) == 0).all()
 
 
-class TestPairsWithin:
-    def test_unit_square(self):
-        pos = np.array([[0, 0], [1, 0], [0, 1], [5, 5]], dtype=float)
-        pairs = pairs_within(pos, 1.0)
-        assert set(pairs) == {(0, 1), (0, 2)}
-
-    def test_radius_zero(self):
-        pos = np.array([[0, 0], [0, 0]], dtype=float)
-        assert pairs_within(pos, 0.0) == [(0, 1)]
-
-    def test_negative_radius(self):
-        with pytest.raises(InvalidParameterError):
-            pairs_within(np.zeros((2, 2)), -1.0)
-
-
 class TestMisc:
-    def test_nearest_neighbor_distances(self):
-        pos = np.array([[0, 0], [1, 0], [10, 0]], dtype=float)
-        nn = nearest_neighbor_distances(pos)
-        assert nn.tolist() == [1.0, 1.0, 9.0]
-
-    def test_nearest_neighbor_single(self):
-        assert nearest_neighbor_distances(np.zeros((1, 2))).tolist() == [0.0]
-
     def test_bounding_box(self):
         assert bounding_box([[1, 2], [3, -1]]) == (1.0, -1.0, 3.0, 2.0)
 

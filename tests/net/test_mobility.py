@@ -165,7 +165,7 @@ class TestRandomWaypointProperties:
         rw = _make_waypoint(n=40, seed=9)
         rw.advance(5)
         g = rw.snapshot_graph(radius=12.0)
-        assert rw.snapshot_edges(radius=12.0) == set(g.edges)
+        assert np.array_equal(rw.snapshot_edges(radius=12.0), g.edge_array)
 
     def test_snapshot_edge_delta_roundtrip(self):
         rw = _make_waypoint(n=40, seed=13, speed=(0.5, 1.5))
@@ -173,11 +173,15 @@ class TestRandomWaypointProperties:
         rw.advance(3)
         new_edges = rw.snapshot_edges(radius=12.0)
         added, removed = snapshot_edge_delta(g, new_edges)
-        assert set(added).isdisjoint(removed)
-        assert set(added).isdisjoint(g.edges)
-        assert set(removed) <= set(g.edges)
+        plus = set(map(tuple, added.tolist()))
+        minus = set(map(tuple, removed.tolist()))
+        assert plus and minus and plus.isdisjoint(minus)
+        assert plus.isdisjoint(g.edges)
+        assert minus <= set(g.edges)
+        assert added.tolist() == sorted(added.tolist())
+        assert removed.tolist() == sorted(removed.tolist())
         g2 = g.with_edge_delta(added, removed)
-        assert set(g2.edges) == new_edges
+        assert np.array_equal(g2.edge_array, new_edges)
         assert g2 == Graph(g.n, new_edges)
 
 

@@ -4,13 +4,16 @@ Node removals, node arrivals and edge deltas all reach the cache layers as
 one edge delta, so one certificate per layer must survive any sequence of
 them.  Each example builds a warm graph (rows, balls, pending partial rows,
 canonical paths, a routed ``BatchRouter``) and applies a random sequence of
-``without_nodes`` / ``with_nodes`` / ``with_edge_delta`` calls.  After every
-step the carried state is compared with references that share no code
-with it:
+``without_nodes`` / ``with_nodes`` / ``with_edge_delta`` calls, and a
+networkx graph takes the same steps.  After every step the graph and its
+carried state are compared with references that share no code with them:
 
+* the graph itself against the networkx graph: ``edges`` and
+  ``edge_array``, every ``neighbors`` / ``degree`` and CSR row (sorted,
+  symmetric, delimited by ``indptr``), ``has_edge`` on sampled edges and
+  non-edges, ``is_connected`` and ``connected_components``;
 * every resident distance row and ball, and every pending partial row
-  (completed through re-expansion), against networkx BFS on
-  ``Graph.to_networkx()``;
+  (completed through re-expansion), against networkx BFS on it;
 * on the landmark backend, label-join pair distances against the same BFS;
 * every carried canonical path against ``canonical_path`` on a cold graph;
 * an inherited ``BatchRouter``'s walks against a freshly built router's.
@@ -46,12 +49,14 @@ def _edges(seed):
     return topo.graph.n, topo.graph.edges
 
 
-def _mutate(g, dead, kind, rng):
-    """One random mutation: ``(child, touched, dead)`` after it."""
+def _mutate(g, ref, dead, kind, rng):
+    """One random mutation of ``g``, and the same step on the networkx
+    graph ``ref`` (in place): ``(child, touched, dead)`` after it."""
     alive = [u for u in range(g.n) if u not in dead]
     if kind == "remove":
         size = min(len(alive) - 2, int(rng.integers(1, 3)))
         victims = sorted(int(x) for x in rng.choice(alive, size, replace=False))
+        ref.remove_edges_from(list(ref.edges(victims)))
         return g.without_nodes(victims), victims, dead | set(victims)
     if kind == "arrive":
         count = int(rng.integers(1, 3))
@@ -61,18 +66,54 @@ def _mutate(g, dead, kind, rng):
             deg = min(len(pool), int(rng.integers(0, 4)))
             targets = rng.choice(pool, deg, replace=False)
             edges += [(int(t), g.n + i) for t in targets]
+        ref.add_nodes_from(range(g.n, g.n + count))
+        ref.add_edges_from(edges)
         return g.with_nodes(count, edges), [], dead
-    edges = g.edges
+    edges = sorted(tuple(sorted(e)) for e in ref.edges())
     count = min(len(edges), int(rng.integers(0, 4)))
     picks = rng.choice(len(edges), count, replace=False)
     removed = [edges[int(i)] for i in picks]
     added = set()
     for _ in range(int(rng.integers(0, 4))):
         u, v = sorted(int(x) for x in rng.choice(alive, 2, replace=False))
-        if not g.has_edge(u, v):
+        if not ref.has_edge(u, v):
             added.add((u, v))
     touched = sorted({x for e in [*added, *removed] for x in e})
+    ref.remove_edges_from(removed)
+    ref.add_edges_from(added)
     return g.with_edge_delta(sorted(added), removed), touched, dead
+
+
+def _check_graph(g, ref, rng):
+    """``g``'s arrays and views against the networkx graph ``ref``."""
+    want = sorted(tuple(sorted(e)) for e in ref.edges())
+    assert g.n == ref.number_of_nodes()
+    assert list(g.edges) == want
+    assert g.edge_array.tolist() == [list(e) for e in want]
+    indptr, indices = g.csr_adjacency
+    assert indptr.shape == (g.n + 1,)
+    assert indptr[0] == 0 and indptr[-1] == indices.size == 2 * len(want)
+    for u in range(g.n):
+        nbrs = sorted(ref.neighbors(u))
+        # Row u is exactly u's sorted networkx neighbors; as ref is
+        # undirected, every arc's reverse is then in the other row.
+        assert indices[indptr[u] : indptr[u + 1]].tolist() == nbrs, ("row", u)
+        assert g.neighbors(u) == tuple(nbrs)
+        assert g.degree(u) == len(nbrs)
+    rows = np.repeat(np.arange(g.n), np.diff(indptr))
+    arcs = set(zip(rows.tolist(), indices.tolist()))
+    assert all((v, u) in arcs for u, v in arcs)
+    picks = rng.choice(len(want), min(8, len(want)), replace=False)
+    sample = [want[int(i)] for i in picks]
+    sample += [tuple(int(x) for x in rng.integers(0, g.n, 2)) for _ in range(12)]
+    for u, v in sample:
+        assert g.has_edge(u, v) == g.has_edge(v, u) == ref.has_edge(u, v), (u, v)
+    assert g.is_connected() == nx.is_connected(ref)
+    comps = sorted(
+        (tuple(sorted(c)) for c in nx.connected_components(ref)),
+        key=lambda c: (-len(c), c),
+    )
+    assert g.connected_components() == comps
 
 
 def _bfs_row(nxg, src, n):
@@ -82,8 +123,7 @@ def _bfs_row(nxg, src, n):
     return row
 
 
-def _check_caches(g, paths, rng):
-    nxg = g.to_networkx()
+def _check_caches(g, nxg, paths, rng):
     o = g.oracle
     for src, row in list(o._rows.items()):
         assert np.array_equal(row, _bfs_row(nxg, src, g.n)), ("row", src)
@@ -99,7 +139,7 @@ def _check_caches(g, paths, rng):
         for u, v in rng.integers(0, g.n, (6, 2)):
             want = _bfs_row(nxg, int(u), g.n)[int(v)]
             assert o.distance(int(u), int(v)) == want, ("pair", u, v)
-    cold = Graph(g.n, g.edges)
+    cold = Graph(g.n, nxg.edges())
     for (a, b), path in list(paths._cache.items()):
         assert path == canonical_path(cold, a, b), ("path", a, b)
 
@@ -164,7 +204,15 @@ def _workload(g, dead, rng, flows=40):
 )
 def test_mixed_mutation_sequences_match_references(backend, seed, ops):
     rng = np.random.default_rng(seed)
-    g = Graph(*_edges(seed)).use_distance_backend(backend)
+    n, edges = _edges(seed)
+    g = Graph(n, edges).use_distance_backend(backend)
+    ref = nx.Graph()
+    ref.add_nodes_from(range(n))
+    ref.add_edges_from(edges)
+    # The structural checks sample from their own stream, so the warm-up
+    # choices below (and the shrunk examples above) see the same draws.
+    check_rng = np.random.default_rng([seed, 1])
+    _check_graph(g, ref, check_rng)
     dead: set[int] = set()
     paths = PathOracle(g)
     _warm(g, paths, rng)
@@ -175,7 +223,8 @@ def test_mixed_mutation_sequences_match_references(backend, seed, ops):
         router.route_flows(_workload(g, dead, rng), with_shortest=False)
     for kind, op_seed in ops:
         op_rng = np.random.default_rng(op_seed)
-        g2, touched, dead = _mutate(g, dead, kind, op_rng)
+        g2, touched, dead = _mutate(g, ref, dead, kind, op_rng)
+        _check_graph(g2, ref, check_rng)
         paths2 = PathOracle(g2)
         if kind == "remove" and len(touched) == 1:
             paths2.inherit_from(paths, touched[0])
@@ -183,7 +232,7 @@ def test_mixed_mutation_sequences_match_references(backend, seed, ops):
             paths2.inherit_node_add(paths)
         else:
             paths2.inherit_edge_delta(paths, touched)
-        _check_caches(g2, paths2, rng)
+        _check_caches(g2, ref, paths2, rng)
         backbone2 = _backbone(g2, dead)
         router2 = None
         if backbone2 is not None:

@@ -276,7 +276,7 @@ class TestBackendSelection:
     def test_without_nodes_inherits_backend(self):
         g = grid_graph(3, 3).use_distance_backend("lazy")
         assert g.without_nodes([4]).distance_backend == "lazy"
-        assert g.with_edges([]).distance_backend == "lazy"
+        assert g.with_edge_delta([(0, 8)]).distance_backend == "lazy"
 
     def test_overflow_guard(self):
         # n beyond the int32 ceiling can't be instantiated as a Graph in

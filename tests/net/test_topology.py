@@ -1,18 +1,33 @@
 """Tests for unit-disk topology generation and calibration."""
 
 import math
+import zlib
 
 import numpy as np
 import pytest
 
 from repro.errors import CalibrationError, InvalidParameterError
+from repro.net import topology
+from repro.net.geometry import grid_positions, pairwise_distances, random_positions
 from repro.net.topology import (
-    _cell_binned_disk_edges,
     calibrate_radius,
     radius_for_degree,
     random_topology,
+    unit_disk_edges,
     unit_disk_graph,
 )
+
+
+def _crc(obj):
+    return f"{zlib.crc32(repr(obj).encode()):08x}"
+
+
+def _dense_edges(pos, radius):
+    """Reference edge array: every pair measured in one distance matrix."""
+    dist = pairwise_distances(pos)
+    iu, ju = np.triu_indices(len(pos), k=1)
+    keep = dist[iu, ju] <= radius
+    return np.stack([iu[keep], ju[keep]], axis=1)
 
 
 class TestRadiusForDegree:
@@ -122,20 +137,72 @@ class TestCalibrateRadius:
             calibrate_radius(10, 20.0, rng=rng)
 
 
+class TestRandomTopologyPins:
+    """The accepted draw of each workload's generator call, pinned.
+
+    ``(attempts, m, crc32(repr(edges)), crc32(repr(positions)))``: the
+    RNG stream, the rejection rule and the edge set must all survive any
+    change to how draws are screened or graphs are built.
+    """
+
+    @pytest.mark.parametrize(
+        "n, degree, seed, pin",
+        [
+            (50, 6.0, 1, (1, 132, "b405efaf", "e9a422a7")),
+            (200, 10.0, 1, (1, 859, "fb01d146", "271058fa")),
+            (400, 8.0, 7, (3, 1504, "6ccc4a18", "20983793")),  # service default
+            (2000, 10.0, 17, (1, 9630, "6c10ae36", "de30c476")),  # mobility-2k
+            (5000, 8.0, 7, (100, 19705, "4343e131", "2a8e3da0")),  # route-5k
+        ],
+    )
+    def test_accepted_sample(self, n, degree, seed, pin):
+        topo = random_topology(n, degree, seed=seed)
+        got = (
+            topo.attempts,
+            topo.graph.m,
+            _crc(topo.graph.edges),
+            _crc(topo.positions.tolist()),
+        )
+        assert got == pin
+
+    def test_draws_with_an_isolated_node_build_no_graph(self, monkeypatch):
+        built = []
+        graph = topology.Graph
+
+        def spy(n, edges):
+            built.append(np.bincount(np.ravel(edges), minlength=n).min())
+            return graph(n, edges)
+
+        monkeypatch.setattr(topology, "Graph", spy)
+        topo = topology.random_topology(400, 8.0, seed=7)
+        monkeypatch.undo()
+        assert 0 < len(built) < topo.attempts
+        assert min(built) > 0
+
+
 class TestCellBinnedEdges:
-    """The spatial-hash edge builder must agree exactly with the dense path."""
+    """The spatial-hash edge builder must agree exactly with a dense
+    reference, below and above the size where the dense matrix used to
+    be the edge path (1024 nodes)."""
 
     def test_matches_dense_unit_disk(self):
-        from repro.net.geometry import random_positions
-        from repro.net.graph import Graph
-
         rng = np.random.default_rng(5)
-        for n, degree in ((2, 1.0), (50, 6.0), (400, 10.0)):
+        for n, degree in ((2, 1.0), (50, 6.0), (400, 10.0), (1500, 12.0)):
             pos = random_positions(n, (100.0, 100.0), rng)
-            r = radius_for_degree(max(n, 2), degree)
-            dense = unit_disk_graph(pos, r)  # n <= 1024: dense path
-            cell = Graph(n, _cell_binned_disk_edges(pos, r))
-            assert dense.edges == cell.edges
+            r = radius_for_degree(n, degree)
+            edges = unit_disk_edges(pos, r)
+            assert edges.dtype == np.int64 and edges.shape[1] == 2
+            assert np.array_equal(edges, _dense_edges(pos, r))
+            assert np.array_equal(unit_disk_graph(pos, r).edge_array, edges)
+
+    @pytest.mark.parametrize("spacing", [1.0, 0.1, 0.7, 2.5])
+    def test_knife_edge_grid(self, spacing):
+        # Grid neighbors sit exactly one spacing (or one diagonal) apart,
+        # up to the rounding of their coordinates, many on cell
+        # boundaries; the dense reference decides every such pair.
+        pos = grid_positions(7, 9, spacing) + 0.3
+        for r in (spacing, spacing * math.sqrt(2), spacing * 2):
+            assert np.array_equal(unit_disk_edges(pos, r), _dense_edges(pos, r))
 
     def test_large_n_uses_lazy_backend_by_default(self):
         topo = random_topology(1500, degree=12.0, seed=3)
@@ -143,10 +210,14 @@ class TestCellBinnedEdges:
         assert not topo.graph.dense_materialized
 
     def test_zero_radius_matches_dense_path(self):
-        # Coincident points are within range 0 of each other on both paths.
-        pos = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
-        dense = unit_disk_graph(pos, 0.0)
-        assert set(_cell_binned_disk_edges(pos, 0.0)) == set(dense.edges) == {(0, 1)}
+        # Coincident points are within range 0 of each other.
+        pos = np.array(
+            [[0.0, 0.0], [1.0, 1.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0], [3.0, 0.0]]
+        )
+        edges = unit_disk_edges(pos, 0.0)
+        assert edges.tolist() == [[0, 2], [1, 3], [1, 4], [3, 4]]
+        assert np.array_equal(edges, _dense_edges(pos, 0.0))
 
-    def test_negative_radius_no_edges(self):
-        assert _cell_binned_disk_edges(np.zeros((3, 2)), -1.0) == []
+    def test_negative_radius_raises(self):
+        with pytest.raises(InvalidParameterError):
+            unit_disk_edges(np.zeros((3, 2)), -1.0)

@@ -287,6 +287,37 @@ class TestGuardsAndIncidents:
         engine.apply(ServiceEvent(seq=0, kind="flow", flows=20))
         assert engine.history[-1]["flows"] > 0
 
+    def test_corrupt_csr_rebuilds_from_the_edge_array(self, tmp_path):
+        cfg = _config(seed=19)
+        engine = ServiceEngine(cfg, tmp_path)
+        g = engine.graph
+        v = next(u for u in range(1, g.n) if not g.has_edge(0, u))
+        # Corrupt the live CSR in place: node 3's last neighbor points
+        # past the last node.  Every structure holding the graph sees it.
+        indptr, indices = g.csr_adjacency
+        bad = indices.copy()
+        bad[indptr[4] - 1] = g.n
+        g._indices = bad
+        engine.apply(ServiceEvent(seq=0, kind="link_down", edges=((0, v),)))
+        (incident,) = engine.incidents
+        assert incident.guard == "csr"
+        assert engine.counts["guard_trips"] == 1
+        assert engine.counts["rebuild_fallbacks"] == 1
+        # Re-election ran on arrays rebuilt from the intact edge array.
+        assert engine.graph is not g and engine.graph == g
+        assert engine.clustering.graph is engine.graph
+        assert engine.graph.distance_backend == cfg.backend
+        assert run_guards(
+            engine.graph,
+            engine.clustering,
+            engine.backbone,
+            engine.dead,
+            seq=1,
+            kind="flow",
+        ) == []
+        engine.apply(ServiceEvent(seq=0, kind="flow", flows=20))
+        assert engine.history[-1]["flows"] > 0
+
     def test_healthy_run_trips_no_guards(self):
         cfg = _config(seed=23)
         engine = ServiceEngine(cfg)

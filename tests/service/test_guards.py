@@ -164,14 +164,19 @@ def healthy():
     return bb
 
 
+def _with_csr(graph, indptr, indices):
+    """A copy of ``graph`` (same edge array) whose CSR arrays are replaced."""
+    g = Graph(graph.n, graph.edge_array)
+    g._indptr, g._indices = indptr, indices
+    return g
+
+
 def _with_rows(graph, rows):
     """A copy of ``graph`` whose CSR arrays are built from ``rows``."""
-    g = Graph(graph.n, graph.edges)
     indptr = np.zeros(len(rows) + 1, dtype=np.int64)
     np.cumsum([len(r) for r in rows], out=indptr[1:])
     indices = np.asarray([v for r in rows for v in r], dtype=np.int64)
-    g.__dict__["csr_adjacency"] = (indptr, indices)
-    return g
+    return _with_csr(graph, indptr, indices)
 
 
 def _rows(graph):
@@ -189,9 +194,7 @@ def _malformed_indptr(graph, how):
         indptr[[5, 6]] = indptr[[6, 5]]
     else:  # "tail": the last offset stops short of the arc array
         indptr[-1] -= 1
-    g = Graph(graph.n, graph.edges)
-    g.__dict__["csr_adjacency"] = (indptr, indices)
-    return g
+    return _with_csr(graph, indptr, indices)
 
 
 def _swap_graph(backbone, graph):
@@ -290,15 +293,6 @@ class TestCsrGuard:
             f"delimit {indices.size} arcs over n={g.n} nodes"
         )
 
-    @pytest.mark.xfail(
-        raises=(IndexError, ValueError),
-        strict=True,
-        reason=(
-            "run_guards still runs the cover and backbone guards on a CSR "
-            "the CSR guard rejected, and they index past its arrays (see "
-            "the FOUND line on run_guards in CHANGES.md)"
-        ),
-    )
     @pytest.mark.parametrize("how", ["out-of-range", "short", "negative-degree"])
     def test_corrupt_csr_is_an_incident_not_an_exception(self, healthy, how):
         g = healthy.clustering.graph
@@ -315,6 +309,7 @@ class TestCsrGuard:
             else "CSR edge set diverges"
         )
         _only(found, "csr", prefix)
+        assert len(found) == 1  # the guards that read the CSR stand down
 
     def test_negative_index(self, healthy):
         g = healthy.clustering.graph
@@ -327,7 +322,7 @@ class TestCsrGuard:
     def test_unsorted_rows_and_paired_duplicates_still_round_trip(self, healthy):
         # Set semantics, as before: row order and an arc duplicated on
         # both sides do not change the edge set the CSR realizes, nor
-        # does the order of the edge tuple.
+        # does the order of the edge array.
         g = healthy.clustering.graph
         rows = [list(reversed(r)) for r in _rows(g)]
         u, v = g.edges[2]
@@ -336,8 +331,8 @@ class TestCsrGuard:
         bad = _with_rows(g, rows)
         assert ref_csr(bad) is None
         assert check_csr_symmetry(bad) is None
-        shuffled = Graph(g.n, g.edges)
-        shuffled._edges = tuple(reversed(g.edges))
+        shuffled = Graph(g.n, g.edge_array)
+        shuffled._edge_array = g.edge_array[::-1]
         assert check_csr_symmetry(shuffled) is None
 
     def test_one_sided_duplicate_arc(self, healthy):
