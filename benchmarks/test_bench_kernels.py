@@ -11,6 +11,7 @@ from repro.core.clustering import khop_cluster
 from repro.core.neighbor import ancr_neighbors
 from repro.core.pipeline import build_backbone
 from repro.net.graph import Graph
+from repro.net.oracle import build_distance_oracle
 from repro.net.topology import random_topology
 
 
@@ -24,14 +25,14 @@ def test_bench_hop_distances(benchmark):
 
     def build_and_measure():
         g = Graph(200, edges)  # fresh graph: cold cache
-        return g.hop_distances
+        return build_distance_oracle(g, "dense").matrix
 
     benchmark(build_and_measure)
 
 
 def test_bench_khop_clustering(benchmark):
     topo = random_topology(200, 6.0, seed=13)
-    topo.graph.hop_distances  # warm the distance cache
+    topo.graph.oracle.rows(range(topo.graph.n))  # warm the distance cache
 
     result = benchmark(lambda: khop_cluster(topo.graph, 2))
     assert result.num_clusters > 0

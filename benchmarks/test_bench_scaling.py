@@ -81,8 +81,8 @@ def test_bench_scaling_lazy(benchmark, n):
     assert result.cds_size > 0
     assert g.distance_backend == "lazy"
     # The whole pipeline (clustering, neighbor rule, gateways, paths,
-    # verification) must complete without ever materializing O(n²) state.
-    assert not g.dense_materialized
+    # verification) must complete without ever building a dense oracle.
+    assert "dense" not in g._oracles
     assert stats.rows_computed < n  # only head rows, never all-pairs
     if n >= 1000:
         # Sub-quadratic memory: peak cache well under the dense matrix.
@@ -122,7 +122,7 @@ def test_bench_dense_vs_lazy_speedup(benchmark):
     assert dense_result.clustering.head_of == lazy_result.clustering.head_of
     assert dense_result.selected_links == lazy_result.selected_links
     assert dense_result.gateways == lazy_result.gateways
-    assert not g.dense_materialized
+    assert "dense" not in g._oracles
 
     # The dense backend now materializes through the batched bit-packed
     # kernel, which collapsed the old ~60-100x gap at this size to ~1.5-2x

@@ -21,7 +21,6 @@ from repro.traffic.workloads import uniform_pairs
 def main() -> None:
     n, k, snapshots = 500, 2, 10
     topo = random_topology(n, degree=9.0, seed=7)
-    topo.graph.use_distance_backend("lazy")
     workload = uniform_pairs(n, 800, seed=7)
     # High-frequency sampling: successive snapshots differ by a few edges.
     speed = (0.002, 0.01)

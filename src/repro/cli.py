@@ -74,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument(
         "--backend",
         default="landmark",
-        choices=("dense", "lazy", "landmark", "auto"),
+        choices=("dense", "lazy", "landmark"),
         help="hop-distance backend (results are identical on every choice; "
         "landmark keeps the batch's pair queries cheap)",
     )
@@ -182,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument(
         "--backend",
         default="landmark",
-        choices=("dense", "lazy", "landmark", "auto"),
+        choices=("dense", "lazy", "landmark"),
     )
     ps.add_argument(
         "--trace",
@@ -203,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument(
         "--backend",
         default="lazy",
-        choices=("dense", "lazy", "landmark", "auto"),
+        choices=("dense", "lazy", "landmark"),
     )
     pv.add_argument("--seed", type=int, default=7)
     pv.add_argument("--events", type=int, default=200)

@@ -21,33 +21,10 @@ in :mod:`repro.sim.protocols.gateway`.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from ..types import Edge, NodeId, normalize_edge
-from .virtual_graph import VirtualGraph
+from .virtual_graph import VirtualGraph, _kruskal
 
 __all__ = ["local_mst_edges", "lmst_selected_links", "lmst_gateways"]
-
-
-def _kruskal(
-    nodes: Iterable[NodeId], edges: list[tuple[tuple[int, int, int], Edge]]
-) -> set[Edge]:
-    """Minimum spanning forest by Kruskal over totally ordered weights."""
-    parent = {v: v for v in nodes}
-
-    def find(x: NodeId) -> NodeId:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    chosen: set[Edge] = set()
-    for _w, (a, b) in sorted(edges):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-            chosen.add((a, b))
-    return chosen
 
 
 def local_mst_edges(vgraph: VirtualGraph, head: NodeId) -> set[Edge]:

@@ -204,9 +204,9 @@ def run_pipeline(
             AC-LMST).
         priority: clusterhead priority scheme (default lowest-ID).
         membership: join policy (default ID-based).
-        distance_backend: force the hop-distance backend for this call
-            (``"dense"``/``"lazy"``/``"auto"``); the graph's own policy is
-            restored afterwards (dense for small n, lazy CSR above).
+        distance_backend: pin the hop-distance backend for this call
+            (``"lazy"``/``"landmark"``/``"dense"``); the graph's own
+            default is restored afterwards.
     """
     graph = network.graph if isinstance(network, Topology) else network
     ctx = (

@@ -25,7 +25,6 @@ from .labeling import LandmarkDistanceOracle
 from .mobility import ChurnProcess, RandomWaypoint
 from .oracle import (
     BATCH_BITS,
-    DENSE_AUTO_MAX,
     DIST_DTYPE,
     MAX_ORACLE_NODES,
     ByteBudgetLRU,
@@ -56,7 +55,6 @@ __all__ = [
     "ByteBudgetLRU",
     "build_distance_oracle",
     "multi_source_bfs",
-    "DENSE_AUTO_MAX",
     "MAX_ORACLE_NODES",
     "DIST_DTYPE",
     "BATCH_BITS",

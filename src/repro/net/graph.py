@@ -8,21 +8,17 @@ queries through a :class:`~repro.net.oracle.DistanceOracle`, of which three
 interchangeable backends exist (see :mod:`repro.net.oracle` for the full
 selection guide):
 
-* **dense** — the all-pairs ``(n, n)`` int32 matrix materialized by the
-  bit-packed batched BFS kernel; fastest at the paper's scales (N <= a few
-  hundred) and the default up to :data:`~repro.net.oracle.DENSE_AUTO_MAX`
-  nodes.
-* **lazy** — CSR adjacency arrays plus on-demand per-source BFS rows
-  (batched through the same kernel) and depth-limited balls under
-  byte-budgeted LRU caches; sub-quadratic memory, the default for larger
-  graphs.
+* **lazy** — the default at every size: CSR adjacency arrays plus
+  on-demand per-source BFS rows (batched through the bit-packed kernel)
+  and depth-limited balls under byte-budgeted LRU caches; it computes
+  only the rows and balls a pipeline reads.
 * **landmark** — the lazy machinery plus exact pruned landmark labels
   (:mod:`repro.net.labeling`); pair distances in O(|label|) for
   pair-heavy consumers.
+* **dense** — the all-pairs ``(n, n)`` int32 matrix materialized by the
+  bit-packed batched BFS kernel; used only when pinned by name.
 
-Call :meth:`Graph.use_distance_backend` to force a backend;
-:attr:`Graph.hop_distances` remains as the small-n/compatibility API and
-always materializes the dense matrix.
+Call :meth:`Graph.use_distance_backend` to pin a backend.
 
 Design notes
 ------------
@@ -168,7 +164,7 @@ class Graph:
         self._indptr = _readonly(np.searchsorted(arcs, np.arange(n + 1) * n))
         self._indices = _readonly(arcs % n if n else arcs)
         self._oracles: dict[str, DistanceOracle] = {}
-        self._backend = backend  # None = auto policy
+        self._backend = backend  # None = the lazy default
 
     # ------------------------------------------------------------------ #
     # basic accessors
@@ -256,10 +252,9 @@ class Graph:
         """The distance oracle for ``backend`` (created once per backend).
 
         ``backend=None`` uses the graph's current default: the backend set
-        via :meth:`use_distance_backend`, else the auto policy (dense for
-        small n, lazy above :data:`~repro.net.oracle.DENSE_AUTO_MAX`).
+        via :meth:`use_distance_backend`, else ``"lazy"``.
         """
-        name = resolve_backend(backend or self._backend, self._n)
+        name = resolve_backend(backend if backend is not None else self._backend)
         oracle = self._oracles.get(name)
         if oracle is None:
             oracle = build_distance_oracle(self, name)
@@ -267,12 +262,11 @@ class Graph:
         return oracle
 
     def use_distance_backend(self, backend: str) -> "Graph":
-        """Pin the default distance backend (``"dense"``/``"lazy"``/``"auto"``).
+        """Pin the default distance backend (``"lazy"``/``"landmark"``/``"dense"``).
 
         Returns ``self`` for chaining; existing per-backend caches are kept.
         """
-        resolve_backend(backend, self._n)  # validate early
-        self._backend = None if backend == "auto" else backend
+        self._backend = resolve_backend(backend)
         return self
 
     @contextmanager
@@ -297,37 +291,11 @@ class Graph:
     @property
     def distance_backend(self) -> str:
         """Name of the backend the default oracle uses."""
-        return resolve_backend(self._backend, self._n)
-
-    @property
-    def dense_materialized(self) -> bool:
-        """Whether an O(n²) dense matrix has been computed for this graph.
-
-        Benchmarks assert this stays ``False`` on the lazy path.
-        """
-        from .oracle import DenseDistanceOracle
-
-        dense = self._oracles.get("dense")
-        return isinstance(dense, DenseDistanceOracle) and dense.materialized
+        return resolve_backend(self._backend)
 
     # ------------------------------------------------------------------ #
     # hop distances
     # ------------------------------------------------------------------ #
-
-    @property
-    def hop_distances(self) -> DistArray:
-        """All-pairs hop-distance matrix, shape ``(n, n)``, dtype int32.
-
-        Compatibility/small-n API: this always materializes the **dense**
-        backend's O(n²) matrix, whatever the default backend is.  Scalable
-        code should use :meth:`bfs_distances`, :meth:`khop_neighbors` or
-        the oracle's ``ball`` queries instead.
-        """
-        from .oracle import DenseDistanceOracle
-
-        dense = self.distance_oracle("dense")
-        assert isinstance(dense, DenseDistanceOracle)
-        return dense.matrix
 
     def bfs_distances(self, source: NodeId) -> DistArray:
         """Hop distances from ``source`` to every node (read-only int32)."""
@@ -344,20 +312,14 @@ class Graph:
     def diameter(self) -> int:
         """Graph diameter; raises on disconnected graphs.
 
-        On the dense backend this is one ``matrix.max()``; on the lazy
-        backend it streams one BFS row per node — O(n·(n+m)) time but
-        never O(n²) resident memory.
+        Streams one BFS row per node — O(n·(n+m)) time but never O(n²)
+        resident memory.
         """
         if not self.is_connected():
             raise DisconnectedGraphError("diameter of a disconnected graph")
         if self._n == 0:
             return 0
-        from .oracle import DenseDistanceOracle
-
-        oracle = self.oracle
-        if isinstance(oracle, DenseDistanceOracle):
-            return int(oracle.matrix.max())
-        return max(oracle.eccentricity(u) for u in range(self._n))
+        return max(self.oracle.eccentricity(u) for u in range(self._n))
 
     # ------------------------------------------------------------------ #
     # neighborhoods

@@ -10,25 +10,20 @@ dense ``(n, n)`` all-pairs matrix — an O(n²) memory/time wall.
 
 Backend-selection guide
 -----------------------
-Three interchangeable backends answer the same query interface; pick (or
-let ``backend="auto"`` pick) by workload shape:
+Three interchangeable backends answer the same query interface.  Every
+graph starts on ``"lazy"``, at every size; pin another one by name with
+:meth:`Graph.use_distance_backend` when the workload shape calls for it:
 
-* ``"dense"`` (:class:`DenseDistanceOracle`) — materializes the full
-  all-pairs matrix once, via the batched bit-packed BFS kernel.  O(n²)
-  memory; unbeatable query latency.  Right for n up to a few hundred
-  (the paper's scales) or when *every* pair will be consulted anyway.
-  The auto policy uses it up to :data:`DENSE_AUTO_MAX` nodes.
-* ``"lazy"`` (:class:`LazyDistanceOracle`) — keeps only CSR adjacency
-  arrays and computes distance **rows** (full single-source BFS) and
-  **balls** (depth-limited BFS) on demand, caching both under
+* ``"lazy"`` (:class:`LazyDistanceOracle`, the default) — keeps only CSR
+  adjacency arrays and computes distance **rows** (full single-source
+  BFS) and **balls** (depth-limited BFS) on demand, caching both under
   byte-budgeted LRU policies (:class:`ByteBudgetLRU`).  Batched row
-  requests (``rows(sources)``) run through
-  :func:`multi_source_bfs` — a bit-packed kernel that advances up to
-  :data:`BATCH_BITS` sources per sweep, one uint64 frontier word-block
-  per node, so warm-up is no longer n sequential BFS runs.  Memory is
-  O(m + budgets).  The auto default above :data:`DENSE_AUTO_MAX` nodes;
-  right for ball-heavy pipelines (clustering, neighbor rules, CDS
-  verification) at any n.
+  requests (``rows(sources)``) run through :func:`multi_source_bfs` — a
+  bit-packed kernel that advances up to :data:`BATCH_BITS` sources per
+  sweep, one uint64 frontier word-block per node.  Memory is
+  O(m + budgets).  The backbone pipelines read balls and head rows only,
+  so even at the paper's scales (N = 50-200) computing just those beats
+  materializing all n rows.
 * ``"landmark"`` (:class:`~repro.net.labeling.LandmarkDistanceOracle`) —
   a lazy oracle plus exact pruned landmark labels built from
   degree-ranked roots, :data:`BATCH_BITS` roots at a time; answers pair
@@ -37,6 +32,12 @@ let ``backend="auto"`` pick) by workload shape:
   consumers (routing stretch sampling, NC neighbor selection, repair
   validation) once n is large enough that even one BFS row per query
   hurts.  Labels are built lazily on the first pair query.
+* ``"dense"`` (:class:`DenseDistanceOracle`) — materializes the full
+  all-pairs matrix once, via the batched bit-packed BFS kernel.  O(n²)
+  memory; only ever used when asked for by name.
+
+``None`` means the default; any other name, ``"auto"`` and ``""``
+included, raises :class:`~repro.errors.InvalidParameterError`.
 
 All backends share the int32 :data:`UNREACHABLE` sentinel, which raises
 the previous int16 ceiling of 32766 nodes to :data:`MAX_ORACLE_NODES`
@@ -93,7 +94,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids circular import
 __all__ = [
     "UNREACHABLE",
     "MAX_ORACLE_NODES",
-    "DENSE_AUTO_MAX",
     "DIST_DTYPE",
     "BATCH_BITS",
     "ByteBudgetLRU",
@@ -120,11 +120,6 @@ UNREACHABLE: int = int(np.iinfo(DIST_DTYPE).max)
 #: :data:`UNREACHABLE` sentinel (a path visits each node at most once, so
 #: hop distances are <= n - 1 < 2**31 - 1).  Previously 32766 (int16).
 MAX_ORACLE_NODES: int = UNREACHABLE - 1
-
-#: ``backend="auto"`` uses the dense matrix up to this many nodes — at the
-#: paper's scales the one-shot batched sweep beats per-source BFS — and
-#: the lazy CSR backend above it.
-DENSE_AUTO_MAX: int = 512
 
 #: Default byte budget for the lazy backend's cached BFS rows (~16 MiB).
 DEFAULT_ROW_CACHE_BYTES: int = 16 << 20
@@ -671,13 +666,15 @@ def multi_source_bfs(
 
 
 class DenseDistanceOracle(DistanceOracle):
-    """All-pairs matrix backend (the seed behavior), for small ``n``.
+    """All-pairs matrix backend (the seed behavior): the explicit
+    ``backend="dense"`` choice.
 
     The matrix is materialized once by the bit-packed batched BFS kernel
     (:func:`multi_source_bfs`) in :data:`BATCH_BITS`-source sweeps —
     O(n/64 · (n + m) · diameter) word operations instead of the seed's
-    O(n² · diameter) boolean matrix products — but remains O(n²) memory
-    and is therefore the auto choice only up to :data:`DENSE_AUTO_MAX`.
+    O(n² · diameter) boolean matrix products — but remains O(n²) memory.
+    No graph selects it by default.  The class stays because the traced
+    benchmark run (``perfbench/layers.py``) imports it by name.
     """
 
     backend = "dense"
@@ -1487,19 +1484,18 @@ class LazyDistanceOracle(DistanceOracle):
 # factory
 # --------------------------------------------------------------------- #
 
-_BACKENDS = ("auto", "dense", "lazy", "landmark")
+_BACKENDS = ("dense", "lazy", "landmark")
 
 
-def resolve_backend(backend: str | None, n: int) -> str:
-    """Resolve ``backend`` (``None``/"auto"/a concrete name) to a concrete name."""
-    name = backend or "auto"
-    if name not in _BACKENDS:
+def resolve_backend(backend: str | None) -> str:
+    """Resolve ``backend`` (``None`` for the default) to a concrete name."""
+    if backend is None:
+        return "lazy"
+    if backend not in _BACKENDS:
         raise InvalidParameterError(
             f"unknown distance backend {backend!r}; known: {list(_BACKENDS)}"
         )
-    if name == "auto":
-        return "dense" if n <= DENSE_AUTO_MAX else "lazy"
-    return name
+    return backend
 
 
 def build_distance_oracle(
@@ -1509,13 +1505,13 @@ def build_distance_oracle(
 
     Args:
         graph: the network graph.
-        backend: ``"dense"``, ``"lazy"``, ``"landmark"``, or
-            ``"auto"``/``None`` (dense up to :data:`DENSE_AUTO_MAX` nodes,
-            lazy above).  See the module docstring for the selection guide.
+        backend: ``"lazy"`` (also ``None``, the default), ``"landmark"``
+            or ``"dense"``.  See the module docstring for the selection
+            guide.
         **kwargs: backend-specific options (lazy/landmark:
             ``row_cache_bytes``, ``ball_cache_bytes``).
     """
-    name = resolve_backend(backend, graph.n)
+    name = resolve_backend(backend)
     if name == "dense":
         if kwargs:
             raise InvalidParameterError(

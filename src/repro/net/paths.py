@@ -23,10 +23,10 @@ Backend note
 ------------
 Path construction needs the full BFS row of the smaller endpoint, obtained
 via :meth:`Graph.bfs_distances` and therefore through the graph's current
-:class:`~repro.net.oracle.DistanceOracle`.  On the dense backend that is a
-matrix row; on the lazy backend it is a single CSR BFS cached under the
-oracle's LRU row policy — virtual links are head-to-head, so an experiment
-touches O(heads) rows, never the O(n²) matrix.
+:class:`~repro.net.oracle.DistanceOracle`.  On the lazy default that is a
+single CSR BFS (or a slice of a batched sweep) cached under the oracle's
+LRU row policy — virtual links are head-to-head, so an experiment touches
+O(heads) rows, never the O(n²) matrix.
 """
 
 from __future__ import annotations

@@ -268,8 +268,9 @@ def simulate_mobile_traffic(
         engine: ``"delta"`` (incremental, the default) or ``"rebuild"``
             (from-scratch baseline) — walk-identical by construction.
             Delta-side cache inheritance applies to the lazy oracle
-            family; under the auto policy, small graphs (dense backend)
-            still produce identical results, just without the row reuse.
+            family, every graph's default; a graph pinned to
+            ``"dense"`` produces identical results, just without the
+            row reuse.
         collect_walks: keep every epoch's routed walks on the report
             (memory-heavy; the equivalence benchmark needs it).
         degraded: serve disconnected snapshots by component-local
@@ -532,9 +533,6 @@ def main(
 ) -> None:
     """CLI driver: run one mobility-coupled traffic experiment."""
     topo = random_topology(n, degree=degree, seed=seed)
-    # The delta engine's cache inheritance lives in the lazy oracle
-    # family; pin it so small instances don't auto-select dense.
-    topo.graph.use_distance_backend("lazy")
     wl = make_workload(workload, topo.graph.n, flows, seed=seed)
     report = simulate_mobile_traffic(
         topo,

@@ -85,8 +85,8 @@ def run_traffic(
         lifetime_epochs: when > 0, also run the traffic-driven lifetime
             comparison (rotation vs static) for this many epochs.
         energy_params: energy constants for the lifetime comparison.
-        backend: force the hop-distance backend (``"dense"``/``"lazy"``/
-            ``"landmark"``/``"auto"``); None keeps the graph's policy.
+        backend: pin the hop-distance backend (``"lazy"``/``"landmark"``/
+            ``"dense"``); None keeps the graph's default (``"lazy"``).
             Batch routing is pair-query-heavy, so the CLI pins
             ``"landmark"`` — results are identical on every backend.
         balance: route with the load-adaptive multipath mode

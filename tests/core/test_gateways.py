@@ -1,18 +1,23 @@
 """Tests for virtual graphs and the gateway algorithms (Mesh/LMST/G-MST)."""
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 
+from repro.analysis.sweep import CellKey, SweepConfig, _cell_seed
 from repro.core.clustering import khop_cluster
 from repro.core.gmst import gmst_gateways, gmst_selected_links, gmst_virtual_graph
 from repro.core.lmst import lmst_gateways, lmst_selected_links, local_mst_edges
 from repro.core.mesh import mesh_gateways, mesh_selected_links
 from repro.core.neighbor import ancr_neighbors, nc_neighbors
+from repro.core.pipeline import build_backbone
 from repro.core.virtual_graph import VirtualGraph, VirtualLink
 from repro.core.wulou import wu_lou_gateways
-from repro.errors import InvalidParameterError
+from repro.errors import DisconnectedGraphError, InvalidParameterError
 from repro.net.generators import grid_graph, path_graph, two_cliques_bridge
-from repro.net.paths import PathOracle
+from repro.net.graph import Graph
+from repro.net.paths import PathOracle, canonical_path
+from repro.net.topology import random_topology
 
 from ..conftest import connected_graphs, ks
 
@@ -56,12 +61,6 @@ class TestVirtualGraph:
         assert vg.neighbors(2) == (0, 4)
         assert vg.weight(0, 2) == 2
         assert vg.is_connected()
-
-    def test_metric_closure_complete(self):
-        g = path_graph(6)
-        cl = khop_cluster(g, 1)
-        vg = VirtualGraph.metric_closure(cl, PathOracle(g))
-        assert vg.num_links == 3  # all head pairs
 
     def test_gateways_for(self):
         g = path_graph(6)
@@ -142,6 +141,43 @@ class TestLMST:
         assert cluster_graph_connected(cl.heads, selected)
 
 
+#: The paper sweep's 48 cells (Figs. 5-6: D 6/10, k 1-4, N 50-200).
+PAPER = SweepConfig()
+PAPER_CELLS = [
+    CellKey(n, d, k) for d in (6.0, 10.0) for k in PAPER.ks for n in PAPER.ns
+]
+
+
+def _reference_gmst_links(g, heads) -> set:
+    """The unique ``(hops, min_id, max_id)`` MST of the heads' metric
+    closure, weighed by networkx shortest-path lengths.
+
+    Each weight packs the strict order into one integer, so every closure
+    link weighs differently and networkx's MST is the unique one.
+    """
+    nxg = g.to_networkx()
+    closure = nx.Graph()
+    closure.add_nodes_from(heads)
+    for i, a in enumerate(heads):
+        lengths = nx.single_source_shortest_path_length(nxg, a)
+        for b in heads[i + 1 :]:
+            closure.add_edge(a, b, key=(lengths[b] * g.n + a) * g.n + b)
+    tree = nx.minimum_spanning_edges(closure, weight="key", data=False)
+    return {(min(a, b), max(a, b)) for a, b in tree}
+
+
+def _assert_gmst_matches_reference(g, k):
+    """G-MST's links are the reference MST; its gateways their interiors."""
+    cl = khop_cluster(g, k)
+    res = build_backbone(cl, "G-MST")
+    links = _reference_gmst_links(g, cl.heads)
+    assert res.selected_links == links
+    assert {(link.u, link.v) for link in res.virtual_graph.links()} == links
+    assert res.gateways == {
+        w for a, b in links for w in canonical_path(g, a, b)[1:-1]
+    }
+
+
 class TestGMST:
     def test_tree_size(self):
         g = grid_graph(6, 6)
@@ -170,25 +206,23 @@ class TestGMST:
 
     @given(connected_graphs(), ks)
     @settings(max_examples=30, deadline=None)
-    def test_gmst_weight_minimal_among_trees(self, g, k):
-        """The chosen tree's weight matches networkx's MST weight."""
-        import networkx as nx
+    def test_gmst_matches_networkx_closure_mst(self, g, k):
+        _assert_gmst_matches_reference(g, k)
 
-        cl = khop_cluster(g, k)
-        if len(cl.heads) < 2:
-            return
-        oracle = PathOracle(g)
-        vg = gmst_virtual_graph(cl, oracle)
-        links = gmst_selected_links(vg)
-        ours = sum(vg.weight(a, b) for a, b in links)
-        nxg = nx.Graph()
-        nxg.add_nodes_from(cl.heads)
-        for link in vg.links():
-            nxg.add_edge(link.u, link.v, weight=link.weight)
-        theirs = sum(
-            d["weight"] for _, _, d in nx.minimum_spanning_edges(nxg, data=True)
-        )
-        assert ours == theirs
+    @pytest.mark.parametrize(
+        "key", PAPER_CELLS, ids=lambda c: f"n{c.n}-d{c.degree:g}-k{c.k}"
+    )
+    def test_gmst_matches_reference_on_paper_cells(self, key):
+        # Trial 0 of each cell, drawn as the paper sweep draws it.
+        seed = _cell_seed(PAPER.base_seed, key, 0)
+        topo = random_topology(key.n, key.degree, seed=seed)
+        _assert_gmst_matches_reference(topo.graph, key.k)
+
+    def test_two_components_raise(self):
+        g = Graph(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)])
+        cl = khop_cluster(g, 1, require_connected=False)
+        with pytest.raises(DisconnectedGraphError):
+            build_backbone(cl, "G-MST")
 
 
 class TestWuLouGateways:

@@ -283,7 +283,7 @@ class TestPrunedLabels:
         assert oracle.labels_built
 
     def test_landmark_backend_resolution(self):
-        assert resolve_backend("landmark", 10) == "landmark"
+        assert resolve_backend("landmark") == "landmark"
         g = Graph(3, [(0, 1)])
         assert g.use_distance_backend("landmark").oracle.backend == "landmark"
 

@@ -1,11 +1,13 @@
 """Tests for the pluggable distance-oracle subsystem.
 
-The load-bearing property: the lazy CSR backend and the dense all-pairs
-backend are *observationally identical* — same distance rows, same balls,
-same canonical paths, and same end-to-end backbones — so every consumer
-can switch backends freely and only performance changes.
+The load-bearing property: every backend (dense, lazy, landmark) answers
+the distances networkx BFS finds — same rows, same balls, same
+:data:`UNREACHABLE` entries where no path exists — and the backends give
+the same canonical paths and end-to-end backbones, so every consumer can
+switch backends freely and only performance changes.
 """
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,6 @@ from repro.net.generators import grid_graph, path_graph, ring_of_cliques, toroid
 from repro.net.graph import UNREACHABLE, Graph
 from repro.net.oracle import (
     BATCH_BITS,
-    DENSE_AUTO_MAX,
     DIST_DTYPE,
     MAX_ORACLE_NODES,
     ByteBudgetLRU,
@@ -35,10 +36,22 @@ from repro.net.topology import random_topology
 
 from ..conftest import connected_graphs, ks
 
+#: Every distance backend; each must match the networkx reference.
+BACKENDS = ("dense", "lazy", "landmark")
+
 
 def fresh_copy(g: Graph, backend: str) -> Graph:
     """Same structure, cold caches, pinned backend."""
     return Graph(g.n, g.edges).use_distance_backend(backend)
+
+
+def nx_distances(g: Graph) -> np.ndarray:
+    """All-pairs hop distances by networkx BFS on ``g.to_networkx()``,
+    :data:`UNREACHABLE` where networkx finds no path."""
+    ref = np.full((g.n, g.n), UNREACHABLE, dtype=DIST_DTYPE)
+    for u, lengths in nx.all_pairs_shortest_path_length(g.to_networkx()):
+        ref[u, list(lengths)] = list(lengths.values())
+    return ref
 
 
 # --------------------------------------------------------------------- #
@@ -50,47 +63,49 @@ class TestBackendEquivalence:
     @given(connected_graphs())
     @settings(max_examples=60, deadline=None)
     def test_rows_identical(self, g):
-        dense = build_distance_oracle(g, "dense")
-        lazy = build_distance_oracle(g, "lazy")
-        for u in range(g.n):
-            assert np.array_equal(dense.row(u), lazy.row(u))
-        # batched form: same values, same dtype, on both backends
+        ref = nx_distances(g)
         sources = list(range(0, g.n, 2))
-        stacked_d = dense.rows(sources)
-        stacked_l = lazy.rows(sources)
-        assert np.array_equal(stacked_d, stacked_l)
-        assert stacked_d.dtype == stacked_l.dtype == DIST_DTYPE
-        assert dense.rows([]).shape == lazy.rows([]).shape == (0, g.n)
-        # duplicate sources and unsorted order are preserved
-        if g.n >= 2:
-            dup = [1, 0, 1]
-            assert np.array_equal(dense.rows(dup), lazy.rows(dup))
+        for backend in BACKENDS:
+            oracle = build_distance_oracle(g, backend)
+            for u in range(g.n):
+                assert np.array_equal(oracle.row(u), ref[u]), backend
+            # batched form: same values and dtype on every backend
+            stacked = oracle.rows(sources)
+            assert np.array_equal(stacked, ref[sources]), backend
+            assert stacked.dtype == DIST_DTYPE
+            assert oracle.rows([]).shape == (0, g.n)
+            # duplicate sources and unsorted order are preserved
+            if g.n >= 2:
+                dup = [1, 0, 1]
+                assert np.array_equal(oracle.rows(dup), ref[dup]), backend
+            assert np.array_equal(oracle.pairwise_distances(range(g.n)), ref)
 
     @given(connected_graphs(), st.integers(0, 5))
     @settings(max_examples=60, deadline=None)
     def test_balls_identical(self, g, radius):
-        dense = build_distance_oracle(g, "dense")
-        lazy = build_distance_oracle(g, "lazy")
-        for u in range(g.n):
-            dn, dd = dense.ball(u, radius)
-            ln, ld = lazy.ball(u, radius)
-            assert np.array_equal(dn, ln)
-            assert np.array_equal(dd, ld)
+        ref = nx_distances(g)
+        for backend in BACKENDS:
+            oracle = build_distance_oracle(g, backend)
+            for u in range(g.n):
+                want = np.flatnonzero(ref[u] <= radius)
+                nodes, dists = oracle.ball(u, radius)
+                assert np.array_equal(nodes, want), backend
+                assert np.array_equal(dists, ref[u, want]), backend
 
     @given(connected_graphs())
     @settings(max_examples=40, deadline=None)
     def test_canonical_paths_identical(self, g):
-        gd = fresh_copy(g, "dense")
-        gl = fresh_copy(g, "lazy")
+        graphs = [fresh_copy(g, backend) for backend in BACKENDS]
         for u in range(g.n):
             for v in range(u, min(g.n, u + 4)):
-                assert canonical_path(gd, u, v) == canonical_path(gl, u, v)
+                paths = {canonical_path(gb, u, v) for gb in graphs}
+                assert len(paths) == 1
 
     @given(connected_graphs(), ks)
     @settings(max_examples=30, deadline=None)
     def test_backbones_identical(self, g, k):
         results = {}
-        for backend in ("dense", "lazy"):
+        for backend in BACKENDS:
             gb = fresh_copy(g, backend)
             cl = khop_cluster(gb, k)
             bb = build_backbone(cl, "AC-LMST")
@@ -100,19 +115,19 @@ class TestBackendEquivalence:
                 bb.selected_links,
                 bb.gateways,
             )
-        assert results["dense"] == results["lazy"]
+        assert results["dense"] == results["lazy"] == results["landmark"]
 
     @given(connected_graphs())
     @settings(max_examples=30, deadline=None)
     def test_disconnected_rows_identical(self, g):
-        # Add isolated nodes so UNREACHABLE entries appear in both backends.
+        # Add isolated nodes so UNREACHABLE entries appear in every backend.
         g2 = Graph(g.n + 2, g.edges)
-        dense = build_distance_oracle(g2, "dense")
-        lazy = build_distance_oracle(g2, "lazy")
-        for u in range(g2.n):
-            assert np.array_equal(dense.row(u), lazy.row(u))
-        assert dense.distance(0, g2.n - 1) == UNREACHABLE
-        assert lazy.distance(0, g2.n - 1) == UNREACHABLE
+        ref = nx_distances(g2)
+        for backend in BACKENDS:
+            oracle = build_distance_oracle(g2, backend)
+            for u in range(g2.n):
+                assert np.array_equal(oracle.row(u), ref[u]), backend
+            assert oracle.distance(0, g2.n - 1) == UNREACHABLE
 
     def test_huge_radius_ball_excludes_unreachable_on_both_backends(self):
         g = Graph(4, [(0, 1), (2, 3)])  # two components
@@ -228,9 +243,22 @@ class TestLazyCachePolicy:
 
 class TestBackendSelection:
     def test_auto_policy(self):
-        assert resolve_backend("auto", DENSE_AUTO_MAX) == "dense"
-        assert resolve_backend(None, DENSE_AUTO_MAX + 1) == "lazy"
-        assert resolve_backend("dense", 10_000) == "dense"
+        # One default at every size: no graph selects dense by itself.
+        for n in (1, 512, 513, 10_000):
+            g = Graph(n)
+            assert g.distance_backend == "lazy"
+            assert g.oracle.backend == "lazy"
+        assert resolve_backend(None) == "lazy"
+        assert resolve_backend("dense") == "dense"
+        for name in ("auto", ""):
+            with pytest.raises(InvalidParameterError):
+                resolve_backend(name)
+            with pytest.raises(InvalidParameterError):
+                build_distance_oracle(path_graph(3), name)
+            with pytest.raises(InvalidParameterError):
+                path_graph(3).use_distance_backend(name)
+            with pytest.raises(InvalidParameterError):
+                path_graph(3).distance_oracle(name)
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -247,26 +275,19 @@ class TestBackendSelection:
         assert g.distance_oracle("lazy") is g.distance_oracle("lazy")
         assert g.distance_oracle("dense") is not g.distance_oracle("lazy")
 
-    def test_hop_distances_compat_always_dense(self):
-        g = path_graph(5).use_distance_backend("lazy")
-        assert not g.dense_materialized
-        m = g.hop_distances
-        assert m.shape == (5, 5) and g.dense_materialized
-        assert g.distance_backend == "lazy"  # default backend unchanged
-
     def test_pinned_backend_restores_policy(self):
         g = grid_graph(3, 3)
-        assert g.distance_backend == "dense"  # auto policy at this size
-        with g.pinned_distance_backend("lazy"):
-            assert g.distance_backend == "lazy"
-        assert g.distance_backend == "dense"
+        assert g.distance_backend == "lazy"
+        with g.pinned_distance_backend("dense"):
+            assert g.distance_backend == "dense"
+        assert g.distance_backend == "lazy"
 
     def test_run_pipeline_backend_is_per_call(self):
         from repro.core.pipeline import run_pipeline
 
         g = grid_graph(4, 4)
-        run_pipeline(g, 1, distance_backend="lazy")
-        assert g.distance_backend == "dense"  # auto policy restored
+        run_pipeline(g, 1, distance_backend="landmark")
+        assert g.distance_backend == "lazy"
 
     def test_ball_map(self):
         for backend in ("dense", "lazy"):

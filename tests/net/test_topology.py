@@ -207,7 +207,7 @@ class TestCellBinnedEdges:
     def test_large_n_uses_lazy_backend_by_default(self):
         topo = random_topology(1500, degree=12.0, seed=3)
         assert topo.graph.distance_backend == "lazy"
-        assert not topo.graph.dense_materialized
+        assert "dense" not in topo.graph._oracles  # no dense oracle built
 
     def test_zero_radius_matches_dense_path(self):
         # Coincident points are within range 0 of each other.

@@ -1,8 +1,11 @@
 """Tests for the repro-khop CLI."""
 
+import zlib
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.figures import ablations, common, figure4, overhead
 
 
 class TestParser:
@@ -57,6 +60,20 @@ class TestMain:
         rc = main(["--trials", "1", "overhead"])
         assert rc == 0
         assert "overhead" in capsys.readouterr().out.lower()
+
+    def test_all_paper_artifacts_pinned(self, capsys, monkeypatch, tmp_path):
+        """Every paper artifact at one trial, byte for byte.
+
+        Pins the stdout of ``python -m repro.cli --trials 1 all`` (33,485
+        bytes): a change to any figure, table or plot the paper sweep
+        prints moves the digest.  The CSV exports go to ``tmp_path``.
+        """
+        monkeypatch.setenv("REPRO_TRIALS", "1")
+        for module in (ablations, common, figure4, overhead):
+            monkeypatch.setattr(module, "RESULTS_DIR", tmp_path)
+        assert main(["--trials", "1", "all"]) == 0
+        out = capsys.readouterr().out.encode()
+        assert (len(out), f"{zlib.crc32(out):08x}") == (33_485, "b81573e3")
 
     def test_traffic_end_to_end(self, capsys):
         rc = main(
