@@ -110,7 +110,6 @@ def test_bench_mobility_delta_vs_rebuild(benchmark):
         speedup=round(speedup, 2),
         mean_delta_edges=round(mean_delta_edges, 1),
         rows_inherited=delta.rows_inherited,
-        rows_partial_inherited=delta.rows_partial_inherited,
         paths_inherited=delta.paths_inherited,
         router_rebuilds_avoided=delta.router_rebuilds_avoided,
         mean_stretch=round(delta.mean("mean_stretch"), 3),

@@ -28,9 +28,9 @@ Two engines implement the identical algorithm:
   arrays, and the join phase one multi-source depth-limited BFS from the
   round's new heads followed by vectorized candidate extraction;
 * the **scalar** engine — the per-node reference loop (one oracle ball
-  query + Python ``min()`` per undecided node), selectable with
-  ``engine="scalar"`` or the ``REPRO_CLUSTER_ENGINE=scalar`` environment
-  variable.
+  query + Python ``min()`` per undecided node), selected with
+  ``engine="scalar"``; tests and ``make bench-pipeline`` compare the
+  batched engine against it.
 
 Round equivalence argument (why the two produce identical ``head_of``):
 
@@ -59,7 +59,6 @@ priority × membership × generator combination, including post-churn
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
@@ -80,10 +79,6 @@ __all__ = [
     "khop_cluster",
     "resolve_head_conflicts",
 ]
-
-#: Environment variable selecting the clustering engine ("batched" default;
-#: "scalar" runs the per-node reference loop).
-ENGINE_ENV = "REPRO_CLUSTER_ENGINE"
 
 
 def group_by_assignment(
@@ -204,11 +199,10 @@ def khop_cluster(
             disconnected input (the connected-backbone theorems assume a
             connected ``G``).  Pass ``False`` to cluster each component
             independently, e.g. for maintenance experiments.
-        engine: ``"batched"`` (default; CSR key propagation + multi-source
-            join BFS) or ``"scalar"`` (the per-node reference loop).
-            ``None`` reads the ``REPRO_CLUSTER_ENGINE`` environment
-            variable, falling back to batched.  Both produce identical
-            clusterings (see the module docstring's equivalence argument).
+        engine: ``"batched"`` (also ``None``, the default; CSR key
+            propagation + multi-source join BFS) or ``"scalar"`` (the
+            per-node reference loop).  Both produce identical clusterings
+            (see the module docstring's equivalence argument).
 
     Returns:
         A :class:`Clustering` carrying the head assignment and provenance.
@@ -220,7 +214,7 @@ def khop_cluster(
             "khop_cluster requires a connected graph (pass "
             "require_connected=False to cluster components independently)"
         )
-    name = engine or os.environ.get(ENGINE_ENV) or "batched"
+    name = engine or "batched"
     if name not in ("batched", "scalar"):
         raise InvalidParameterError(
             f"unknown clustering engine {name!r}; known: batched, scalar"

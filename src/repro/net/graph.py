@@ -468,8 +468,8 @@ class Graph:
         of node arrivals (:meth:`with_nodes`) all arrive here.  Instead
         of rebuilding from the full edge list, the sorted edge keys and
         the sorted CSR arc keys are spliced at the changed positions, and
-        every lazy-family oracle carries its still-valid cached rows,
-        partial rows and balls into the derived graph via
+        every lazy-family oracle carries its still-valid cached rows
+        and balls into the derived graph via
         :meth:`~repro.net.oracle.LazyDistanceOracle.inherit_edge_delta`.
 
         Already-present ``added`` edges and absent ``removed`` edges are
@@ -521,9 +521,9 @@ class Graph:
 
         An arrival is two steps.  The *pad* step appends the new nodes
         isolated: empty CSR rows (``indptr`` repeats its last offset),
-        and every lazy-family oracle's cached and partial rows padded
-        with :data:`UNREACHABLE` (exact — isolated nodes are unreachable
-        and join no ball).  The attachment edges then arrive as an
+        and every lazy-family oracle's cached rows padded with
+        :data:`UNREACHABLE` (exact — isolated nodes are unreachable and
+        join no ball).  The attachment edges then arrive as an
         ordinary :meth:`with_edge_delta`.
 
         ``inherit_oracles=False`` skips the carry and starts the grown

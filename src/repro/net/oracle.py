@@ -51,8 +51,8 @@ Every graph mutation reaches the oracle as one edge delta:
 and :meth:`Graph.with_nodes` for arrivals (a pad step that appends
 isolated nodes, then the attachment edges as a delta).  The child oracle
 inherits through one certificate,
-:meth:`LazyDistanceOracle.inherit_edge_delta`, which picks one of three
-rungs per cached row:
+:meth:`LazyDistanceOracle.inherit_edge_delta`, which carries each cached
+row by one of two rungs or drops it:
 
 * **verbatim** — a cheap endpoint pre-filter proves the delta cannot
   touch the row (no added edge spanning levels two apart, no removed
@@ -62,19 +62,17 @@ rungs per cached row:
   once: the orphan cascade (:meth:`~LazyDistanceOracle._settle_removals`)
   then Dial-style decrease propagation
   (:meth:`~LazyDistanceOracle._relax_rows`), landing as exact full rows;
-* **valid prefix** — entries at distance ``<= m``, the distance to the
-  nearest changed endpoint, stay exact, so the row is kept as a pending
-  partial and completed on demand by resuming BFS from its radius-``m``
-  frontier.  Rows that reach a node the delta cuts off (a failure's
-  victim) take this rung, as do rows whose patch footprint exceeds
-  :data:`DELTA_PATCH_SEED_BUDGET`.
+* **dropped** — rows that reach a node the delta cuts off (a failure's
+  victim) and rows whose patch footprint exceeds
+  :data:`DELTA_PATCH_SEED_BUDGET`; the next :meth:`~LazyDistanceOracle.row`
+  or :meth:`~LazyDistanceOracle.rows` recomputes them exactly.
 
 Cached balls survive unless a change reaches their interior; a boundary
-node that loses its last parent is dropped from the ball.  Pending
-partial rows count toward ``cached_bytes`` and are capped at one row
-budget.  ``OracleStats.rows_inherited`` / ``rows_patched`` /
-``rows_partial_inherited`` / ``rows_reexpanded`` / ``balls_inherited``
-count the carried and resumed entries.
+node that loses its last parent is dropped from the ball.  Nothing is
+held outside the two LRU caches, so ``cached_bytes`` is exactly the
+resident rows and balls (plus the landmark backend's labels).
+``OracleStats.rows_inherited`` / ``rows_patched`` / ``balls_inherited``
+count the carried entries.
 """
 
 from __future__ import annotations
@@ -135,7 +133,7 @@ BATCH_BITS: int = 64
 #: dynamic-BFS update) when its delta footprint — orphaned entries plus
 #: shortcutting added edges — is at most this many seeds; beyond it, the
 #: bit-packed batch kernel recomputes the row faster than pair-level
-#: propagation could, so the row falls back to the valid-prefix rung.
+#: propagation could, so the row is dropped.
 DELTA_PATCH_SEED_BUDGET: int = 256
 
 
@@ -155,14 +153,9 @@ class OracleStats:
         rows_inherited: rows carried over from a parent oracle by the
             edge-delta inheritance (verbatim or patched).
         balls_inherited: balls carried over (possibly boundary-patched).
-        rows_partial_inherited: rows whose valid prefix (entries at
-            distance <= that of the nearest changed endpoint) was carried
-            over for lazy re-expansion instead of being discarded.
         rows_patched: rows carried across an edge delta by exact
             decrease-propagation patching (removals certified harmless,
             added shortcuts applied in place).
-        rows_reexpanded: partial rows completed by resuming BFS from
-            their valid frontier on demand.
         batched_sweeps: bit-packed multi-source BFS sweeps run.
         pair_queries: pair distances answered from landmark labels.
         label_entries: total 2-hop label entries held (landmark backend).
@@ -191,9 +184,7 @@ class OracleStats:
     peak_cached_bytes: int
     rows_inherited: int = 0
     balls_inherited: int = 0
-    rows_partial_inherited: int = 0
     rows_patched: int = 0
-    rows_reexpanded: int = 0
     batched_sweeps: int = 0
     pair_queries: int = 0
     label_entries: int = 0
@@ -819,31 +810,21 @@ class LazyDistanceOracle(DistanceOracle):
         self._ball_hits = 0
         self._rows_inherited = 0
         self._balls_inherited = 0
-        self._rows_partial_inherited = 0
         self._rows_patched = 0
-        self._rows_reexpanded = 0
         self._batched_sweeps = 0
         # Cumulative (rows_computed, row_hits, balls_computed, ball_hits,
         # inherits) over every ancestor oracle — see _carry_lineage.
         self._lineage = (0, 0, 0, 0, 0)
         self._peak_bytes = 0
-        # source -> (stale row, valid-prefix radius): rows a delta
-        # invalidated but left salvageable — entries at distance <= radius
-        # stay exact — pending lazy re-expansion.
-        self._partial_rows: dict[int, tuple[np.ndarray, int]] = {}
         # Sources proven distance-identical by the last edge-delta
         # inheritance (see delta_certified_sources).
         self._delta_certified: frozenset[int] = frozenset()
 
     # -- caching helpers ----------------------------------------------- #
 
-    def _row_nbytes(self) -> int:
-        return max(1, self._graph.n * np.dtype(DIST_DTYPE).itemsize)
-
     def _cached_bytes(self) -> int:
-        """Bytes held: LRU rows and balls plus pending partial rows."""
-        partial = len(self._partial_rows) * self._row_nbytes()
-        return self._rows.nbytes + self._balls.nbytes + partial
+        """Bytes held: the resident LRU rows and balls."""
+        return self._rows.nbytes + self._balls.nbytes
 
     def _note_peak(self) -> None:
         total = self._cached_bytes()
@@ -852,7 +833,6 @@ class LazyDistanceOracle(DistanceOracle):
 
     def _store_row(self, source: int, dist: np.ndarray) -> None:
         self._rows.put(source, dist, dist.nbytes)
-        self._partial_rows.pop(source, None)  # an exact row supersedes
         self._note_peak()
 
     def _store_ball(
@@ -889,22 +869,7 @@ class LazyDistanceOracle(DistanceOracle):
         self._balls_computed = 0
         self._ball_hits = 0
         self._rows_patched = 0
-        self._rows_reexpanded = 0
         self._batched_sweeps = 0
-
-    def _cap_partial_rows(self) -> None:
-        """Bound pending partial rows by one row-budget's worth of bytes.
-
-        Pending partials hold full stale rows outside the LRU budget, so
-        they obey the same byte discipline, dropping oldest-first (chained
-        parent partials arrive before this delta's fresh ones — the
-        staler, the earlier).  Dropped sources recompute from scratch on
-        demand.
-        """
-        cap = max(1, self._rows.budget // self._row_nbytes())
-        while len(self._partial_rows) > cap:
-            self._partial_rows.pop(next(iter(self._partial_rows)))
-        self._rows_partial_inherited = len(self._partial_rows)
 
     def _row_has_parent(
         self, old_block: np.ndarray, block: np.ndarray,
@@ -1089,7 +1054,7 @@ class LazyDistanceOracle(DistanceOracle):
         with :data:`UNREACHABLE` (exact — isolated nodes are unreachable
         and join no ball); the attachment edges follow as a second delta.
 
-        Each cached **row** takes one of three rungs:
+        Each cached **row** is carried by one of two rungs or dropped:
 
         * a cheap endpoint pre-filter carries rows the delta provably
           cannot touch (no added edge spanning levels two apart, no
@@ -1107,24 +1072,17 @@ class LazyDistanceOracle(DistanceOracle):
           the batched-rows hot paths (leg resolution, bulk pair
           distances) warm under motion, where nearly every row is
           grazed by *some* change;
-        * two kinds of row keep only their **valid prefix** instead:
-          rows that reach a node the delta cuts off entirely (a node
-          failure's victim — such a row is certain to change, so
-          patching would copy every row reaching the victim at every
-          failure, while churn loops rarely read them back), and rows
-          whose patch footprint exceeds :data:`DELTA_PATCH_SEED_BUDGET`
-          seeds (the bit-packed kernel recomputes them faster than
-          pair-level propagation could).  Entries at distance ``<= m``,
-          the distance to the nearest changed endpoint, are exact (a
-          shortest path's interior sits strictly closer than its end,
-          and an added edge only reaches nodes beyond ``m + 1``), so
-          the row is held as a pending partial and :meth:`row`
-          completes it by resuming BFS from its radius-``m`` frontier.
+        * two kinds of row are **dropped** instead, for the next
+          :meth:`row` / :meth:`rows` to recompute exactly: rows that
+          reach a node the delta cuts off entirely (a node failure's
+          victim — such a row is certain to change, so patching would
+          copy every row reaching the victim at every failure, while
+          churn loops rarely read them back), and rows whose patch
+          footprint exceeds :data:`DELTA_PATCH_SEED_BUDGET` seeds (the
+          bit-packed kernel recomputes them faster than pair-level
+          propagation could).
 
-        Parent partial rows chain with their radius shrunk to the nearest
-        touched node (stale values beyond the radius only certify
-        ``> radius``, so they never shrink it).  Cached **balls** carry
-        under :meth:`_carried_ball`.
+        Cached **balls** carry under :meth:`_carried_ball`.
         """
         self._carry_lineage(parent)
         n, old_n = self._graph.n, parent._graph.n
@@ -1140,17 +1098,10 @@ class LazyDistanceOracle(DistanceOracle):
         rem = np.asarray(removed, dtype=np.intp).reshape(-1, 2)
         na = add.shape[0]
         touched = np.unique(np.concatenate([add.ravel(), rem.ravel()]))
-        # Chained parent partials go first, so _cap_partial_rows'
-        # oldest-first eviction drops the stalest entries first.
-        for src, (row, radius) in parent._partial_rows.items():
-            m = min(radius, int(row[touched].min())) if touched.size else radius
-            if m > 0:
-                self._partial_rows[src] = (fit(row), m)
         pairs = [(src, fit(row)) for src, row in parent._rows.items()]
         row_seed = []
         certified: set[int] = set()
         affected: list[int] = []
-        fallback: list[int] = []
         if pairs and touched.size:
             cols = np.concatenate([add[:, 0], add[:, 1], rem[:, 0], rem[:, 1]])
             vals = np.stack([row[cols] for _, row in pairs]).astype(np.int64)
@@ -1159,19 +1110,16 @@ class LazyDistanceOracle(DistanceOracle):
             ru, rv = vals[:, 2 * na : 2 * na + nr], vals[:, 2 * na + nr :]
             maybe = (np.minimum(au, av) + 1 < np.maximum(au, av)).any(axis=1)
             maybe |= (np.abs(ru - rv) == 1).any(axis=1)
-            # Rows reaching a node the delta cuts off entirely.
+            # Rows reaching a node the delta cuts off entirely are dropped.
             cut_off = np.diff(self._indptr)[cols] == 0
             reach_cut = ((vals < UNREACHABLE) & cut_off).any(axis=1)
-            low = vals.min(axis=1)  # distance to the nearest touched node
         else:
             maybe = reach_cut = np.zeros(len(pairs), dtype=bool)
         for i, (src, row) in enumerate(pairs):
             if not maybe[i]:
                 certified.add(src)
                 row_seed.append((src, row, row.nbytes))
-            elif reach_cut[i]:
-                fallback.append(i)
-            else:
+            elif not reach_cut[i]:
                 affected.append(i)
         if affected:
             old_block = np.stack([pairs[i][1] for i in affected]).astype(np.int64)
@@ -1214,21 +1162,16 @@ class LazyDistanceOracle(DistanceOracle):
                 flat = _dedupe_flat(np.concatenate(seed_parts))
                 changed |= self._relax_rows(block, flat // n, flat % n)
             for j, i in enumerate(affected):
-                src, row = pairs[i]
                 if not patch[j]:
-                    fallback.append(i)
                     continue
+                src, row = pairs[i]
                 if changed[j]:
                     row = _readonly(block[j].astype(DIST_DTYPE))
                     self._rows_patched += 1
                 else:
                     certified.add(src)
                 row_seed.append((src, row, row.nbytes))
-        for i in fallback:
-            if low[i] > 0:
-                self._partial_rows[pairs[i][0]] = (pairs[i][1], int(low[i]))
         self._delta_certified = frozenset(certified)
-        self._cap_partial_rows()
         pairwise = np.concatenate([add.ravel(), rem.ravel()])
         hit = np.zeros(n, dtype=bool)
         hit[touched] = True
@@ -1309,32 +1252,6 @@ class LazyDistanceOracle(DistanceOracle):
 
     # -- queries ------------------------------------------------------- #
 
-    def _reexpand_row(self, row: np.ndarray, radius: int) -> np.ndarray:
-        """Complete a partial row: resume BFS from its valid frontier.
-
-        The prefix (entries at distance <= ``radius``) is exact; entries
-        beyond it are reset to :data:`UNREACHABLE` and recomputed by
-        continuing the level-synchronous sweep from the nodes at exactly
-        ``radius`` (the only prefix nodes an unvisited node can adjoin).
-        """
-        dist = row.copy()
-        dist[dist > radius] = UNREACHABLE
-        frontier = np.flatnonzero(dist == radius)
-        level = radius
-        indptr, indices = self._indptr, self._indices
-        while frontier.size:
-            level += 1
-            nbrs, _ = gather_csr_neighbors(indptr, indices, frontier)
-            if nbrs.size == 0:
-                break
-            nbrs = nbrs[dist[nbrs] == UNREACHABLE]
-            if nbrs.size == 0:
-                break
-            frontier = _dedupe_flat(nbrs)
-            dist[frontier] = level
-        self._rows_reexpanded += 1
-        return dist
-
     def cached_row(self, source: NodeId) -> DistArray | None:
         return self._rows.get(int(source))
 
@@ -1344,13 +1261,7 @@ class LazyDistanceOracle(DistanceOracle):
         if cached is not None:
             self._row_hits += 1
             return cached
-        partial = self._partial_rows.get(source)
-        if partial is not None:
-            dist = self._reexpand_row(*partial)
-        else:
-            dist, _ = _csr_bfs(
-                self._indptr, self._indices, self._graph.n, source
-            )
+        dist, _ = _csr_bfs(self._indptr, self._indices, self._graph.n, source)
         dist = _readonly(dist)
         self._rows_computed += 1
         self._store_row(source, dist)
@@ -1366,11 +1277,6 @@ class LazyDistanceOracle(DistanceOracle):
         # Fresh rows are pinned locally so budget evictions during the
         # batch can never lose a row before it is stacked into the result.
         fresh: dict[int, np.ndarray] = {}
-        # Pending partial rows are *not* salvaged here: per-source BFS
-        # resumption cannot beat the bit-packed kernel's 64-sources-per-
-        # sweep amortization, so batched requests recompute them (and
-        # _store_row retires the stale partial).  Partials pay off on the
-        # single-row path, where the alternative is one full BFS.
         for start in range(0, len(missing), BATCH_BITS):
             chunk = missing[start : start + BATCH_BITS]
             block = multi_source_bfs(self._indptr, self._indices, n, chunk)
@@ -1468,9 +1374,7 @@ class LazyDistanceOracle(DistanceOracle):
             peak_cached_bytes=self._peak_bytes,
             rows_inherited=self._rows_inherited,
             balls_inherited=self._balls_inherited,
-            rows_partial_inherited=self._rows_partial_inherited,
             rows_patched=self._rows_patched,
-            rows_reexpanded=self._rows_reexpanded,
             batched_sweeps=self._batched_sweeps,
             lineage_rows_computed=self._lineage[0] + self._rows_computed,
             lineage_row_hits=self._lineage[1] + self._row_hits,

@@ -302,9 +302,7 @@ def publish_oracle_stats(stats: object, prefix: str = "oracle") -> None:
         "peak_cached_bytes",
         "rows_inherited",
         "balls_inherited",
-        "rows_partial_inherited",
         "rows_patched",
-        "rows_reexpanded",
         "batched_sweeps",
         "pair_queries",
         "label_entries",

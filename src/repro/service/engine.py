@@ -250,7 +250,7 @@ class ServiceEngine:
             return
         self.topology = _initial_topology(config)
         g = self.topology.graph
-        clustering = khop_cluster(g, config.k, engine="batched")
+        clustering = khop_cluster(g, config.k)
         paths = PathOracle(g)
         self.router = BatchRouter(
             build_backbone(clustering, config.algorithm, oracle=paths),

@@ -18,8 +18,8 @@ Two engines produce **walk-identical** results (the acceptance gate of
 * ``engine="delta"`` — the incremental path this module exists for.  The
   snapshot's unit-disk edge set is diffed against the previous graph
   (:func:`~repro.net.mobility.snapshot_edge_delta`) and applied through
-  :meth:`Graph.with_edge_delta`, so distance rows/balls inherit under the
-  valid-prefix rules; then the maintenance step
+  :meth:`Graph.with_edge_delta`, so distance rows and balls carry
+  through the oracle's edge-delta certificate; then the maintenance step
   :func:`~repro.maintenance.step.carry_delta` carries canonical paths
   (virtual links *and* member<->head legs share one
   :class:`~repro.net.paths.PathOracle`) and the head-graph routing layer
@@ -130,8 +130,10 @@ class MobileTrafficReport:
             carried whole across snapshot deltas (delta engine only);
             ``rows_inherited`` counts full exact rows — certified
             verbatim plus dynamic-BFS patched.
-        rows_partial_inherited: rows carried as valid prefixes for lazy
-            re-expansion instead (triage overflow).
+        rows_partial_inherited: always 0 — the oracle drops a row it
+            cannot carry whole instead of keeping a valid prefix.  Kept
+            because the end-to-end benchmark's mobility-2k workload
+            reads it.
         paths_inherited: canonical paths (virtual links + legs) carried.
         router_rebuilds_avoided: snapshots whose whole head-routing layer
             (Dijkstra trees, head walks) survived structurally.
@@ -335,17 +337,11 @@ def simulate_mobile_traffic(
                                 if isinstance(oracle, LazyDistanceOracle):
                                     stats = oracle.stats()
                                     report.rows_inherited += stats.rows_inherited
-                                    report.rows_partial_inherited += (
-                                        stats.rows_partial_inherited
-                                    )
                                     report.balls_inherited += stats.balls_inherited
                                     publish_counters(
                                         "oracle.inherit",
                                         {
                                             "rows": stats.rows_inherited,
-                                            "rows_partial": (
-                                                stats.rows_partial_inherited
-                                            ),
                                             "balls": stats.balls_inherited,
                                         },
                                     )
@@ -509,8 +505,7 @@ def render_mobile(report: MobileTrafficReport) -> str:
         )
     if report.engine == "delta":
         lines.append(
-            f"inherited: {report.rows_inherited} rows "
-            f"(+{report.rows_partial_inherited} partial), "
+            f"inherited: {report.rows_inherited} rows, "
             f"{report.balls_inherited} balls, "
             f"{report.paths_inherited} canonical paths; "
             f"{report.router_rebuilds_avoided} router rebuilds avoided"

@@ -84,14 +84,6 @@ class TestScenarioEquivalence:
             for membership in MEMBERSHIPS:
                 assert_engines_agree(g, 2, None, membership)
 
-    def test_env_flag_selects_scalar(self, monkeypatch):
-        g = toroidal_grid(5, 6)
-        monkeypatch.setenv("REPRO_CLUSTER_ENGINE", "scalar")
-        a = khop_cluster(g, 2)
-        monkeypatch.setenv("REPRO_CLUSTER_ENGINE", "batched")
-        b = khop_cluster(g, 2)
-        assert a.head_of == b.head_of
-
     def test_unknown_engine_rejected(self):
         with pytest.raises(InvalidParameterError):
             khop_cluster(toroidal_grid(3, 4), 1, engine="nope")

@@ -216,7 +216,7 @@ class TestOracleDeltaInheritance:
 
 
 class TestInheritFromEdgeCases:
-    """Node-removal corners: empty removals, partial rows, path carry."""
+    """Node-removal corners: empty removals, dropped rows, path carry."""
 
     def test_without_nodes_empty_removal_set(self):
         g = _random_graph(np.random.default_rng(20), 12)
@@ -241,9 +241,8 @@ class TestInheritFromEdgeCases:
             assert child.path(0, t) == canonical_path(g2, 0, t)
 
     def test_removal_of_partially_inherited_rows_source(self):
-        # A source whose row is pending as a *partial* dies next: the
-        # chained inheritance must drop that source (its row can never
-        # be re-expanded) without touching other partials.
+        # A source whose row the first removal dropped dies next: its
+        # row stays absent and every read matches a cold oracle.
         topo = random_topology(120, degree=6.0, seed=4)
         g = Graph(topo.graph.n, topo.graph.edges)
         g.use_distance_backend("lazy")
@@ -251,18 +250,18 @@ class TestInheritFromEdgeCases:
         row = g.oracle.row(src)
         victim = int(np.flatnonzero(row == 2)[0])  # invalidates src's row
         g2 = g.without_nodes([victim])
-        assert src in g2.oracle._partial_rows
-        assert g2.oracle.stats().rows_partial_inherited >= 1
+        assert g2.oracle.cached_row(src) is None
         g3 = g2.without_nodes([src])
-        assert src not in g3.oracle._partial_rows
+        assert g3.oracle.cached_row(src) is None
+        cold2 = Graph(g.n, g2.edges).use_distance_backend("lazy")
+        assert np.array_equal(g2.oracle.row(src), cold2.oracle.row(src))
         fresh = Graph(g.n, g3.edges).use_distance_backend("lazy")
         for probe in (src, victim, 5):
             assert np.array_equal(g3.oracle.row(probe), fresh.oracle.row(probe))
 
     def test_partial_row_then_edge_delta_shrinks_radius_exactly(self):
-        # rows_partial_inherited path crossed with a subsequent delta:
-        # the partial's radius shrinks to the nearest touched node inside
-        # its prefix and re-expansion stays exact.
+        # A row a removal dropped stays dropped across the next delta
+        # (nothing stale chains forward) and is recomputed exactly.
         topo = random_topology(120, degree=6.0, seed=6)
         g = Graph(topo.graph.n, topo.graph.edges)
         g.use_distance_backend("lazy")
@@ -270,9 +269,10 @@ class TestInheritFromEdgeCases:
         row = g.oracle.row(src)
         victim = int(np.flatnonzero(row == 3)[0])
         g2 = g.without_nodes([victim])
-        assert src in g2.oracle._partial_rows
+        assert g2.oracle.cached_row(src) is None
         removed = [g2.edges[len(g2.edges) // 2]]
         g3 = g2.with_edge_delta([], removed)
+        assert g3.oracle.cached_row(src) is None
         fresh = Graph(g.n, g3.edges).use_distance_backend("lazy")
         assert np.array_equal(g3.oracle.row(src), fresh.oracle.row(src))
 
@@ -285,10 +285,12 @@ class TestInheritFromEdgeCases:
         row = g.oracle.row(0)
         victim = int(np.flatnonzero(row == 2)[0])
         g2 = g.without_nodes([victim])
-        before = g2.oracle.stats()
-        assert before.rows_partial_inherited > 0
-        g2.oracle.row(0)  # forces a re-expansion
-        assert g2.oracle.stats().rows_reexpanded == 1
+        assert g2.oracle.cached_row(0) is None
+        before = g2.oracle.stats().rows_computed
+        row2 = g2.oracle.row(0)  # recomputes the dropped row
+        assert g2.oracle.stats().rows_computed == before + 1
+        fresh = Graph(g.n, g2.edges).use_distance_backend("lazy")
+        assert np.array_equal(row2, fresh.oracle.row(0))
 
 
 class TestPathOracleEdgeDelta:

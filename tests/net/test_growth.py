@@ -213,12 +213,12 @@ class TestLazyOracleNodeAdd:
             g = _random_graph(rng, n)
             o = g.oracle
             for s in range(0, n, 2):
-                o.ball(s, 2)  # balls record partial rows at radius 2
+                o.ball(s, 2)
             count, edges = _random_arrival(rng, g)
             g2 = g.with_nodes(count, edges)
             fresh = Graph(g2.n, g2.edges)
             fresh.use_distance_backend("lazy")
-            # Surviving partials must still answer in-radius queries right.
+            # Balls carried across the arrival answer in-radius queries right.
             for s in range(0, n, 2):
                 bn, bd = g2.oracle.ball(s, 1)
                 rn, rd = fresh.oracle.ball(s, 1)

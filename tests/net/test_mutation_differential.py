@@ -2,8 +2,8 @@
 
 Node removals, node arrivals and edge deltas all reach the cache layers as
 one edge delta, so one certificate per layer must survive any sequence of
-them.  Each example builds a warm graph (rows, balls, pending partial rows,
-canonical paths, a routed ``BatchRouter``) and applies a random sequence of
+them.  Each example builds a warm graph (rows, balls, canonical paths, a
+routed ``BatchRouter``) and applies a random sequence of
 ``without_nodes`` / ``with_nodes`` / ``with_edge_delta`` calls, and a
 networkx graph takes the same steps.  After every step the graph and its
 carried state are compared with references that share no code with them:
@@ -12,8 +12,9 @@ carried state are compared with references that share no code with them:
   ``edge_array``, every ``neighbors`` / ``degree`` and CSR row (sorted,
   symmetric, delimited by ``indptr``), ``has_edge`` on sampled edges and
   non-edges, ``is_connected`` and ``connected_components``;
-* every resident distance row and ball, and every pending partial row
-  (completed through re-expansion), against networkx BFS on it;
+* every resident distance row and ball against networkx BFS on it, and
+  the oracle's ``cached_bytes`` against exactly those rows and balls (plus
+  landmark labels): nothing is held outside the two caches;
 * on the landmark backend, label-join pair distances against the same BFS;
 * every carried canonical path against ``canonical_path`` on a cold graph;
 * an inherited ``BatchRouter``'s walks against a freshly built router's.
@@ -132,9 +133,9 @@ def _check_caches(g, nxg, paths, rng):
         members = sorted(want)
         assert nodes.tolist() == members, ("ball", src, r)
         assert dists.tolist() == [want[v] for v in members], ("ball", src, r)
-    for src in list(o._partial_rows):
-        want = _bfs_row(nxg, src, g.n)
-        assert np.array_equal(o.row(src), want), ("partial", src)
+    labels = o._label_bytes() if o.backend == "landmark" else 0
+    resident = o._rows.nbytes + o._balls.nbytes + labels
+    assert o.stats().cached_bytes == resident, ("cached_bytes", resident)
     if o.backend == "landmark":
         for u, v in rng.integers(0, g.n, (6, 2)):
             want = _bfs_row(nxg, int(u), g.n)[int(v)]

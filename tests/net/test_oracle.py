@@ -540,7 +540,7 @@ class TestBatchedBalls:
 
 
 class TestPartialRowInheritance:
-    """Invalidated rows keep their valid prefix and resume, not restart."""
+    """Rows a delta invalidates are dropped, then recomputed exactly."""
 
     @staticmethod
     def warm(g: Graph, step: int = 5) -> Graph:
@@ -554,29 +554,32 @@ class TestPartialRowInheritance:
         removed = 17
         g2 = g.without_nodes([removed])
         oracle = g2.distance_oracle("lazy")
-        stats = oracle.stats()
-        # the removal is reachable from most warmed sources: their rows
-        # must be salvaged partially rather than dropped
-        assert stats.rows_partial_inherited > 0
+        # the removal is reachable from every warmed source: their rows
+        # are dropped rather than carried stale
+        sources = list(range(0, g.n, 5))
+        assert all(oracle.cached_row(s) is None for s in sources)
         truth = LazyDistanceOracle(Graph(g.n, g2.edges))
-        for s in range(0, g.n, 5):
+        for s in sources:
             assert np.array_equal(oracle.row(s), truth.row(s)), s
-        stats = oracle.stats()
-        assert stats.rows_reexpanded == stats.rows_partial_inherited
+        # each dropped row is recomputed once, as an ordinary computed row
+        assert oracle.stats().rows_computed == len(sources)
 
     def test_prefix_entries_survive_unread(self):
-        # entries at distance <= d(source, removed) are carried verbatim
+        # entries at distance <= d(source, removed) are unchanged
         g = self.warm(toroidal_grid(10, 10))
         source = 0
         row_before = np.array(g.oracle.row(source))
         removed = int(np.flatnonzero(row_before == 3)[0])
         g2 = g.without_nodes([removed])
         oracle = g2.distance_oracle("lazy")
+        assert oracle.cached_row(source) is None
         after = oracle.row(source)
         near = row_before <= 3
         near[removed] = False
         assert np.array_equal(after[near], row_before[near])
         assert after[removed] == UNREACHABLE
+        truth = LazyDistanceOracle(Graph(g.n, g2.edges))
+        assert np.array_equal(after, truth.row(source))
 
     def test_chained_removals_shrink_radius_and_stay_exact(self):
         g = self.warm(random_topology(200, degree=8.0, seed=21).graph)
@@ -598,18 +601,16 @@ class TestPartialRowInheritance:
         g = self.warm(random_topology(200, degree=8.0, seed=23).graph)
         g2 = g.without_nodes([11])
         oracle = g2.distance_oracle("lazy")
-        pending = oracle.stats().rows_partial_inherited
-        assert pending > 0
         sources = list(range(0, g.n, 5))
+        assert all(oracle.cached_row(s) is None for s in sources)
         block = oracle.rows(sources)
         truth = LazyDistanceOracle(Graph(g.n, g2.edges))
         for i, s in enumerate(sources):
             assert np.array_equal(block[i], truth.row(s)), s
-        # the batch goes through the bit-packed kernel (per-source BFS
-        # resumption cannot beat its amortization) and the fresh rows
-        # retire the stale partials
-        assert oracle.stats().rows_reexpanded == 0
-        assert len(oracle._partial_rows) == 0
+        # the batch recomputes every dropped row in one bit-packed sweep
+        stats = oracle.stats()
+        assert stats.rows_computed == len(sources)
+        assert stats.batched_sweeps == 1
 
     def test_removed_source_row_recomputed_cold(self):
         g = self.warm(path_graph(12), step=1)
@@ -623,45 +624,82 @@ class TestPartialRowInheritance:
         g = self.warm(toroidal_grid(8, 8), step=4)
         g2 = g.without_nodes([9])
         oracle = g2.distance_oracle("lazy")
-        pending = oracle.stats().rows_partial_inherited
-        assert pending > 0
-        for s in range(0, g.n, 4):
-            oracle.row(s)
+        sources = list(range(0, g.n, 4))
+        assert all(oracle.cached_row(s) is None for s in sources)
+        truth2 = LazyDistanceOracle(Graph(g.n, g2.edges))
+        for s in sources:
+            assert np.array_equal(oracle.row(s), truth2.row(s)), s
         # a second removal must not resurrect pre-first-removal state
         g3 = g2.without_nodes([33])
         oracle3 = g3.distance_oracle("lazy")
         truth = LazyDistanceOracle(Graph(g.n, g3.edges))
-        for s in range(0, g.n, 4):
+        for s in sources:
             assert np.array_equal(oracle3.row(s), truth.row(s)), s
 
-    def test_partial_rows_bounded_by_row_budget(self):
+    @staticmethod
+    def budgeted_chain(check) -> None:
+        """Warm rows and balls under tight budgets, then call ``check`` on
+        each graph along a chain of node removals and edge deltas."""
         g = random_topology(120, degree=8.0, seed=29).graph
-        n = g.n
-        row_bytes = n * 4
+        row_budget = 3 * g.n * np.dtype(np.int32).itemsize
+        ball_budget = 2048
+        g._oracles["lazy"] = LazyDistanceOracle(
+            g, row_cache_bytes=row_budget, ball_cache_bytes=ball_budget
+        )
+        rng = np.random.default_rng(5)
+        current = g
+        for step in range(6):
+            for s in range(0, g.n, 2):
+                current.oracle.row(s)
+                current.oracle.ball(s, 2)
+            check(current.distance_oracle("lazy"), row_budget, ball_budget)
+            if step % 2 == 0:
+                current = current.without_nodes([int(rng.integers(0, g.n))])
+            else:
+                edges = current.edge_array
+                removed = edges[rng.choice(len(edges), 3, replace=False)]
+                gone = {tuple(e) for e in removed.tolist()}
+                added = [
+                    (int(min(u, v)), int(max(u, v)))
+                    for u, v in rng.integers(0, g.n, (4, 2))
+                    if u != v
+                ]
+                added = [e for e in added if e not in gone]
+                current = current.with_edge_delta(added, removed)
+            check(current.distance_oracle("lazy"), row_budget, ball_budget)
+
+    def test_partial_rows_bounded_by_row_budget(self):
+        # Rows a removal leaves stale are dropped, not parked outside the
+        # LRU: the child holds no more rows than its budget allows.
+        g = random_topology(120, degree=8.0, seed=29).graph
+        row_bytes = g.n * np.dtype(np.int32).itemsize
         oracle = LazyDistanceOracle(g, row_cache_bytes=3 * row_bytes)
-        for s in range(0, n, 2):
+        for s in range(0, g.n, 2):
             oracle.row(s)
         child = LazyDistanceOracle(
             g.without_nodes([1]), row_cache_bytes=3 * row_bytes
         )
         child.inherit_edge_delta(oracle, [], [(1, v) for v in g.neighbors(1)])
-        # pending stale rows obey the same byte discipline as the cache
-        assert len(child._partial_rows) <= 3
+        assert len(child._rows) <= 3
+        assert child._rows.nbytes <= 3 * row_bytes
+
+        def within_budgets(o, row_budget, ball_budget):
+            assert o._rows.nbytes <= row_budget
+            assert o._balls.nbytes <= ball_budget
+            assert o.stats().peak_cached_bytes <= row_budget + ball_budget
+
+        self.budgeted_chain(within_budgets)
 
     def test_partial_rows_count_toward_cached_bytes(self):
-        # Pending partials are held outside the LRU, but they are held:
-        # cached_bytes and its peak must include them.
-        g = toroidal_grid(40, 40).use_distance_backend("lazy")
-        for s in range(200):
-            g.oracle.row(s)
-        g2 = g.without_nodes([5])
-        stats = g2.oracle.stats()
-        pending = stats.rows_partial_inherited
-        assert pending > 150
-        row_bytes = g.n * np.dtype(np.int32).itemsize
-        assert stats.cached_bytes == pending * row_bytes
-        assert stats.peak_cached_bytes >= stats.cached_bytes
+        # Nothing is held outside the two LRU caches, so along a chain of
+        # removals and edge deltas the footprint is exactly the resident
+        # rows and balls.
+        def footprint_is_resident(o, row_budget, ball_budget):
+            stats = o.stats()
+            assert stats.cached_bytes == o._rows.nbytes + o._balls.nbytes
+            assert stats.peak_cached_bytes >= stats.cached_bytes
 
+        self.budgeted_chain(footprint_is_resident)
 
 class TestLineageConservation:
     """``lineage_*`` stats conserve query totals across inherit chains.

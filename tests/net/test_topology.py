@@ -1,6 +1,7 @@
 """Tests for unit-disk topology generation and calibration."""
 
 import math
+import re
 import zlib
 
 import numpy as np
@@ -104,8 +105,13 @@ class TestRandomTopology:
             random_topology(10, 6.0, seed=0, calibration="magic")
 
     def test_impossible_connectivity_raises(self):
-        with pytest.raises(CalibrationError):
-            random_topology(80, 0.3, seed=0, max_attempts=3)
+        # these degrees leave a node isolated in nearly every draw, so the
+        # attempts run out; the error names the infeasible parameters
+        for n, degree in ((80, 0.3), (200, 2.0)):
+            with pytest.raises(
+                CalibrationError, match=re.escape(f"n={n}, degree={degree},")
+            ):
+                random_topology(n, degree, seed=0, max_attempts=3)
 
     def test_not_requiring_connected(self):
         topo = random_topology(
@@ -135,6 +141,12 @@ class TestCalibrateRadius:
         rng = np.random.default_rng(0)
         with pytest.raises(InvalidParameterError):
             calibrate_radius(10, 20.0, rng=rng)
+
+    def test_no_convergence_names_n_and_degree(self):
+        # a zero tolerance cannot be met by two bisection steps
+        rng = np.random.default_rng(0)
+        with pytest.raises(CalibrationError, match=re.escape("n=50, degree=6.0")):
+            calibrate_radius(50, 6.0, rng=rng, tol=0.0, max_iter=2)
 
 
 class TestRandomTopologyPins:

@@ -48,6 +48,13 @@ class TestParser:
 
 
 class TestMain:
+    @pytest.fixture(autouse=True)
+    def results_dir(self, monkeypatch, tmp_path):
+        """Send every CSV export to ``tmp_path``, never the checkout's
+        tracked ``results/``."""
+        for module in (ablations, common, figure4, overhead):
+            monkeypatch.setattr(module, "RESULTS_DIR", tmp_path)
+
     def test_figure4_end_to_end(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_TRIALS", "2")
         rc = main(["figure4", "--n", "50", "--k", "2", "--seed", "1"])
@@ -60,17 +67,17 @@ class TestMain:
         rc = main(["--trials", "1", "overhead"])
         assert rc == 0
         assert "overhead" in capsys.readouterr().out.lower()
+        assert (tmp_path / "overhead.csv").is_file()
 
-    def test_all_paper_artifacts_pinned(self, capsys, monkeypatch, tmp_path):
+    def test_all_paper_artifacts_pinned(self, capsys, monkeypatch):
         """Every paper artifact at one trial, byte for byte.
 
         Pins the stdout of ``python -m repro.cli --trials 1 all`` (33,485
         bytes): a change to any figure, table or plot the paper sweep
-        prints moves the digest.  The CSV exports go to ``tmp_path``.
+        prints moves the digest.  The CSV exports go to ``tmp_path``
+        (the class's autouse fixture).
         """
         monkeypatch.setenv("REPRO_TRIALS", "1")
-        for module in (ablations, common, figure4, overhead):
-            monkeypatch.setattr(module, "RESULTS_DIR", tmp_path)
         assert main(["--trials", "1", "all"]) == 0
         out = capsys.readouterr().out.encode()
         assert (len(out), f"{zlib.crc32(out):08x}") == (33_485, "b81573e3")
