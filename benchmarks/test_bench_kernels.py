@@ -1,8 +1,8 @@
 """Micro-benchmarks of the computational kernels (profiling guard rails).
 
 These catch performance regressions in the pieces every experiment hammers:
-topology generation, the all-pairs hop-distance sweep, k-hop clustering,
-and the LMST gateway stage.
+topology generation, k-hop clustering, the A-NCR neighbor rule and the
+AC-LMST backbone stage.
 """
 
 from conftest import BENCH_TRIALS  # noqa: F401
@@ -10,24 +10,11 @@ from conftest import BENCH_TRIALS  # noqa: F401
 from repro.core.clustering import khop_cluster
 from repro.core.neighbor import ancr_neighbors
 from repro.core.pipeline import build_backbone
-from repro.net.graph import Graph
-from repro.net.oracle import build_distance_oracle
 from repro.net.topology import random_topology
 
 
 def test_bench_topology_generation(benchmark):
     benchmark(lambda: random_topology(200, 6.0, seed=11))
-
-
-def test_bench_hop_distances(benchmark):
-    topo = random_topology(200, 6.0, seed=12)
-    edges = topo.graph.edges
-
-    def build_and_measure():
-        g = Graph(200, edges)  # fresh graph: cold cache
-        return build_distance_oracle(g, "dense").matrix
-
-    benchmark(build_and_measure)
 
 
 def test_bench_khop_clustering(benchmark):

@@ -24,6 +24,7 @@ import zlib
 from typing import Optional, Sequence
 
 from .figures import ablations, claims, figure4, figure5, figure6, figure7, overhead
+from .net.oracle import BACKENDS
 
 __all__ = ["main", "build_parser"]
 
@@ -74,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument(
         "--backend",
         default="landmark",
-        choices=("dense", "lazy", "landmark"),
+        choices=BACKENDS,
         help="hop-distance backend (results are identical on every choice; "
         "landmark keeps the batch's pair queries cheap)",
     )
@@ -182,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument(
         "--backend",
         default="landmark",
-        choices=("dense", "lazy", "landmark"),
+        choices=BACKENDS,
     )
     ps.add_argument(
         "--trace",
@@ -203,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument(
         "--backend",
         default="lazy",
-        choices=("dense", "lazy", "landmark"),
+        choices=BACKENDS,
     )
     pv.add_argument("--seed", type=int, default=7)
     pv.add_argument("--events", type=int, default=200)

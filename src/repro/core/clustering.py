@@ -440,8 +440,8 @@ def _khop_cluster_scalar(
     # so only O(ball) work/memory per node is ever done — the lazy backend
     # never materializes the O(n²) matrix.  Round 1 touches every node's
     # ball, so warm them all through the batched depth-limited kernel up
-    # front (a no-op on the dense backend and for already-cached balls,
-    # e.g. those inherited across a churn removal).
+    # front (a no-op for already-cached balls, e.g. those inherited
+    # across a churn removal).
     oracle = graph.oracle
     oracle.prepare_balls(range(n), k)
     rounds = 0

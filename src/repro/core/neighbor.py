@@ -53,11 +53,10 @@ NeighborMap = Mapping[NodeId, tuple[NodeId, ...]]
 def nc_neighbors(clustering: Clustering) -> dict[NodeId, tuple[NodeId, ...]]:
     """Baseline NC rule: every other clusterhead within 2k+1 hops.
 
-    Answered from one head-to-head pairwise distance matrix: the dense
-    backend gathers it from the materialized matrix, the lazy backend
-    computes head rows in bit-packed batched BFS sweeps (which also warms
-    the row cache the virtual-link phase reads next), and the landmark
-    backend joins 2-hop labels per pair — never a full row.
+    Answered from one head-to-head pairwise distance matrix: the lazy
+    backend computes head rows in bit-packed batched BFS sweeps (which
+    also warms the row cache the virtual-link phase reads next), and the
+    landmark backend joins 2-hop labels per pair — never a full row.
     """
     g = clustering.graph
     oracle = g.oracle

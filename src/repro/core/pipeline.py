@@ -15,7 +15,6 @@ canonical paths), mirroring the paper's methodology.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
@@ -185,7 +184,6 @@ def run_pipeline(
     *,
     priority: "PriorityScheme | str | None" = None,
     membership: "MembershipPolicy | str | None" = None,
-    distance_backend: "str | None" = None,
 ) -> BackboneResult:
     """One-call convenience API: cluster a network and build a backbone.
 
@@ -204,16 +202,10 @@ def run_pipeline(
             AC-LMST).
         priority: clusterhead priority scheme (default lowest-ID).
         membership: join policy (default ID-based).
-        distance_backend: pin the hop-distance backend for this call
-            (``"lazy"``/``"landmark"``/``"dense"``); the graph's own
-            default is restored afterwards.
+
+    Hop distances come from the graph's own backend; pin it beforehand
+    with :meth:`~repro.net.graph.Graph.use_distance_backend`.
     """
     graph = network.graph if isinstance(network, Topology) else network
-    ctx = (
-        graph.pinned_distance_backend(distance_backend)
-        if distance_backend is not None
-        else nullcontext()
-    )
-    with ctx:
-        clustering = khop_cluster(graph, k, priority=priority, membership=membership)
-        return build_backbone(clustering, algorithm)
+    clustering = khop_cluster(graph, k, priority=priority, membership=membership)
+    return build_backbone(clustering, algorithm)

@@ -52,8 +52,9 @@ RULE_DOCS: dict[str, tuple[str, str]] = {
     ),
     "R003": (
         "dense-allocation",
-        "no O(n^2) square allocations sneak in outside the opt-in dense "
-        "backend — the PR 1 scaling win depends on it",
+        "no O(n^2) square allocations sneak in outside the allowlisted "
+        "subset-pairwise methods — the distance layer's O(m + budgets) "
+        "memory depends on it",
     ),
     "R004": (
         "hot-path-loops",
@@ -147,13 +148,11 @@ BANNED_DIST_DTYPES = frozenset(
 )
 
 #: R003: (module rel-path) -> qualname prefixes allowed to allocate
-#: square matrices.  The dense backend is the *point* of the exception;
-#: ``pairwise_distances`` returns an all-pairs matrix over an explicit
-#: node subset, which is exactly what its callers asked for.
+#: square matrices.  ``pairwise_distances`` returns an all-pairs matrix
+#: over an explicit node subset, which is exactly what its callers asked
+#: for.
 DENSE_ALLOWLIST: dict[str, tuple[str, ...]] = {
     "src/repro/net/oracle.py": (
-        "_dense_all_pairs",
-        "DenseDistanceOracle",
         "DistanceOracle.pairwise_distances",
     ),
     "src/repro/net/labeling.py": (

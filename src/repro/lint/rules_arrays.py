@@ -8,9 +8,9 @@ width.  The rule is name-aware — only *distance-named* arrays
 index arrays stay legal — and only integer dtype literals are flagged,
 so float euclidean geometry is exempt.
 
-R003 bans square ``(x, x)``-shaped allocations outside the opt-in dense
-backend: the PR 1 result (no O(n^2) memory anywhere on the lazy path) is
-an invariant, not an accident.  Shapes are compared textually, which
+R003 bans square ``(x, x)``-shaped allocations outside an allowlist of
+subset-pairwise methods: no O(n^2) memory anywhere on the distance path
+is an invariant, not an accident.  Shapes are compared textually, which
 catches ``(n, n)``, ``(idx.size, idx.size)`` and friends while leaving
 genuinely rectangular buffers alone.
 """
@@ -217,7 +217,7 @@ class DistDtypeRule(Rule):
 
 
 class DenseAllocationRule(Rule):
-    """R003: no square allocations outside the dense-backend allowlist."""
+    """R003: no square allocations outside the allowlisted methods."""
 
     code = "R003"
     name = "dense-allocation"
@@ -255,6 +255,6 @@ class DenseAllocationRule(Rule):
                 node.lineno,
                 self.code,
                 f"square np.{leaf}(({ast.unparse(a)}, {ast.unparse(b)})) "
-                "allocation outside the dense backend; the lazy path must "
+                "allocation outside the allowlist; the distance path must "
                 "stay O(m + budgets)",
             )

@@ -150,8 +150,9 @@ def simulate_churn_rebuild(
         # Force the generic (non-incremental) removal path: rebuild the
         # reduced graph from the full edge list with nothing carried over.
         edges = current.edge_array
-        reduced = Graph(current.n, edges[(edges != node).all(axis=1)])
-        reduced._backend = current._backend
+        reduced = Graph(
+            current.n, edges[(edges != node).all(axis=1)]
+        ).use_distance_backend(current.distance_backend)
         survivors = [u for u in reduced.nodes() if u not in dead]
         if survivors and not reduced.is_connected_subset(survivors):
             report.outcomes.append(

@@ -28,7 +28,6 @@ from .oracle import (
     DIST_DTYPE,
     MAX_ORACLE_NODES,
     ByteBudgetLRU,
-    DenseDistanceOracle,
     DistanceOracle,
     LazyDistanceOracle,
     OracleStats,
@@ -48,7 +47,6 @@ __all__ = [
     "Graph",
     "UNREACHABLE",
     "DistanceOracle",
-    "DenseDistanceOracle",
     "LazyDistanceOracle",
     "LandmarkDistanceOracle",
     "OracleStats",

@@ -4,8 +4,8 @@ Every algorithm in the paper is defined in terms of *hop distances* in the
 original network ``G``: k-hop neighborhoods for clustering, 2k+1-hop
 neighborhoods for neighbor-clusterhead discovery, and hop-count "virtual
 distances" between clusterheads.  :class:`Graph` answers all of those
-queries through a :class:`~repro.net.oracle.DistanceOracle`, of which three
-interchangeable backends exist (see :mod:`repro.net.oracle` for the full
+queries through its one :class:`~repro.net.oracle.DistanceOracle`, built on
+first use by the graph's backend (see :mod:`repro.net.oracle` for the
 selection guide):
 
 * **lazy** — the default at every size: CSR adjacency arrays plus
@@ -15,10 +15,9 @@ selection guide):
 * **landmark** — the lazy machinery plus exact pruned landmark labels
   (:mod:`repro.net.labeling`); pair distances in O(|label|) for
   pair-heavy consumers.
-* **dense** — the all-pairs ``(n, n)`` int32 matrix materialized by the
-  bit-packed batched BFS kernel; used only when pinned by name.
 
-Call :meth:`Graph.use_distance_backend` to pin a backend.
+The backend is a property of the graph: :meth:`Graph.use_distance_backend`
+pins it, and graphs derived by a mutation keep it.
 
 Design notes
 ------------
@@ -33,15 +32,14 @@ Design notes
 * The graph is immutable, and every mutation produces a *new* graph
   through one path, :meth:`Graph.with_edge_delta`: the sorted edge keys
   and the sorted CSR arc keys are spliced at the changed positions (one
-  ``searchsorted`` each, no re-sort), and lazy-family oracle caches
-  inherit through
-  :meth:`~repro.net.oracle.LazyDistanceOracle.inherit_edge_delta`.
-  Oracles are caches over the immutable structure, so backend switches
-  are safe.
+  ``searchsorted`` each, no re-sort), and the oracle's caches inherit
+  through :meth:`~repro.net.oracle.LazyDistanceOracle.inherit_edge_delta`.
+  The oracle is a cache over the immutable structure, so a backend
+  switch simply drops it.
 * Every connectivity query (:meth:`Graph.is_connected`,
   :meth:`Graph.connected_components`, :meth:`Graph.component_labels`)
   is one pass of :func:`~repro.net.oracle.csr_component_labels`; none
-  touches the distance oracles.
+  touches the distance oracle.
 * Node failure (§3.3 of the paper) is the delta that drops every incident
   edge: :meth:`Graph.without_nodes` keeps the original node numbering and
   leaves the failed nodes isolated, so results remain comparable.
@@ -50,7 +48,7 @@ Design notes
   :meth:`Graph.with_nodes` pads the graph with isolated nodes (empty CSR
   rows, cached rows padded with :data:`UNREACHABLE`), then adds the
   attachment edges as an ordinary delta.
-* All backends use the int32 :data:`UNREACHABLE` sentinel and refuse
+* Both backends use the int32 :data:`UNREACHABLE` sentinel and refuse
   graphs beyond :data:`~repro.net.oracle.MAX_ORACLE_NODES` nodes rather
   than silently overflowing hop distances (the seed's int16 ceiling of
   32766 nodes is gone).
@@ -58,7 +56,6 @@ Design notes
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
@@ -68,7 +65,7 @@ from ..errors import DisconnectedGraphError, InvalidParameterError
 from ..types import DistArray, Edge, IndexArray, NodeId
 from .oracle import (
     UNREACHABLE,
-    DistanceOracle,
+    LazyDistanceOracle,
     _dedupe_flat,
     _readonly,
     build_distance_oracle,
@@ -144,7 +141,7 @@ class Graph:
     """
 
     __slots__ = (
-        "_n", "_indptr", "_indices", "_edge_array", "_oracles", "_backend",
+        "_n", "_indptr", "_indices", "_edge_array", "_oracle", "_backend",
         "__dict__",
     )
 
@@ -153,18 +150,18 @@ class Graph:
             raise InvalidParameterError(f"node count must be >= 0, got {n}")
         n = int(n)
         keys = _edge_keys(edges, n)
-        self._install(n, keys, _arc_keys(keys, n), None)
+        self._install(n, keys, _arc_keys(keys, n), resolve_backend(None))
 
     def _install(
-        self, n: int, keys: np.ndarray, arcs: np.ndarray, backend: str | None
+        self, n: int, keys: np.ndarray, arcs: np.ndarray, backend: str
     ) -> None:
         """Set the arrays from sorted edge keys and sorted arc keys."""
         self._n = n
         self._edge_array = _readonly(np.stack(np.divmod(keys, n), axis=1))
         self._indptr = _readonly(np.searchsorted(arcs, np.arange(n + 1) * n))
         self._indices = _readonly(arcs % n if n else arcs)
-        self._oracles: dict[str, DistanceOracle] = {}
-        self._backend = backend  # None = the lazy default
+        self._oracle: LazyDistanceOracle | None = None
+        self._backend = backend
 
     # ------------------------------------------------------------------ #
     # basic accessors
@@ -248,50 +245,30 @@ class Graph:
         """
         return self._indptr, self._indices
 
-    def distance_oracle(self, backend: str | None = None) -> DistanceOracle:
-        """The distance oracle for ``backend`` (created once per backend).
-
-        ``backend=None`` uses the graph's current default: the backend set
-        via :meth:`use_distance_backend`, else ``"lazy"``.
-        """
-        name = resolve_backend(backend if backend is not None else self._backend)
-        oracle = self._oracles.get(name)
-        if oracle is None:
-            oracle = build_distance_oracle(self, name)
-            self._oracles[name] = oracle
-        return oracle
-
     def use_distance_backend(self, backend: str) -> "Graph":
-        """Pin the default distance backend (``"lazy"``/``"landmark"``/``"dense"``).
+        """Pin the distance backend (``"lazy"`` or ``"landmark"``).
 
-        Returns ``self`` for chaining; existing per-backend caches are kept.
+        Returns ``self`` for chaining.  Switching to another backend drops
+        the current oracle (the next query builds one on the new
+        backend); re-pinning the current backend keeps it.
         """
-        self._backend = resolve_backend(backend)
+        name = resolve_backend(backend)
+        if name != self._backend:
+            self._backend = name
+            self._oracle = None
         return self
 
-    @contextmanager
-    def pinned_distance_backend(self, backend: str):
-        """Temporarily pin the default backend; restores the prior policy.
-
-        Lets an experiment force a backend for one computation without a
-        lasting side effect on a shared graph.
-        """
-        prev = self._backend
-        self.use_distance_backend(backend)
-        try:
-            yield self
-        finally:
-            self._backend = prev
-
     @property
-    def oracle(self) -> DistanceOracle:
-        """The graph's current default distance oracle."""
-        return self.distance_oracle()
+    def oracle(self) -> LazyDistanceOracle:
+        """The graph's distance oracle (built on first use)."""
+        if self._oracle is None:
+            self._oracle = build_distance_oracle(self, self._backend)
+        return self._oracle
 
     @property
     def distance_backend(self) -> str:
-        """Name of the backend the default oracle uses."""
-        return resolve_backend(self._backend)
+        """Name of the backend the oracle uses."""
+        return self._backend
 
     # ------------------------------------------------------------------ #
     # hop distances
@@ -434,27 +411,25 @@ class Graph:
             removed=np.stack([np.repeat(gone, counts), nbrs], axis=1)
         )
 
-    def _inherit_lazy_oracles(
+    def _inherit_oracle(
         self, g: "Graph", added: np.ndarray, removed: np.ndarray
     ) -> None:
-        """Derive ``g``'s lazy-family oracles from this graph's.
+        """Derive ``g``'s oracle from this graph's, if it has one.
 
-        Each child oracle (same class and cache budgets as its parent) is
+        The child oracle (same class and cache budgets as its parent) is
         seeded by :meth:`~repro.net.oracle.LazyDistanceOracle.inherit_edge_delta`
-        with whatever of the parent's caches survives the delta.  Dense
-        oracles are never carried (their matrix is monolithic).
+        with whatever of the parent's caches survives the delta.
         """
-        from .oracle import LazyDistanceOracle
-
-        for name, parent in self._oracles.items():
-            if isinstance(parent, LazyDistanceOracle):
-                child = type(parent)(
-                    g,
-                    row_cache_bytes=parent._rows.budget,
-                    ball_cache_bytes=parent._balls.budget,
-                )
-                child.inherit_edge_delta(parent, added, removed)
-                g._oracles[name] = child
+        parent = self._oracle
+        if parent is None:
+            return
+        child = type(parent)(
+            g,
+            row_cache_bytes=parent._rows.budget,
+            ball_cache_bytes=parent._balls.budget,
+        )
+        child.inherit_edge_delta(parent, added, removed)
+        g._oracle = child
 
     def with_edge_delta(
         self,
@@ -468,8 +443,8 @@ class Graph:
         of node arrivals (:meth:`with_nodes`) all arrive here.  Instead
         of rebuilding from the full edge list, the sorted edge keys and
         the sorted CSR arc keys are spliced at the changed positions, and
-        every lazy-family oracle carries its still-valid cached rows
-        and balls into the derived graph via
+        the oracle carries its still-valid cached rows and balls into the
+        derived graph via
         :meth:`~repro.net.oracle.LazyDistanceOracle.inherit_edge_delta`.
 
         Already-present ``added`` edges and absent ``removed`` edges are
@@ -497,7 +472,7 @@ class Graph:
             _splice(arcs, _arc_keys(rem, n), _arc_keys(add, n)),
             self._backend,
         )
-        self._inherit_lazy_oracles(
+        self._inherit_oracle(
             g,
             np.stack(np.divmod(add, n), axis=1),
             np.stack(np.divmod(rem, n), axis=1),
@@ -521,7 +496,7 @@ class Graph:
 
         An arrival is two steps.  The *pad* step appends the new nodes
         isolated: empty CSR rows (``indptr`` repeats its last offset),
-        and every lazy-family oracle's cached rows padded with
+        and the oracle's cached rows padded with
         :data:`UNREACHABLE` (exact — isolated nodes are unreachable and
         join no ball).  The attachment edges then arrive as an
         ordinary :meth:`with_edge_delta`.
@@ -557,11 +532,11 @@ class Graph:
             np.concatenate([self._indptr, np.repeat(self._indptr[-1:], count)])
         )
         g._indices = self._indices
-        g._oracles = {}
+        g._oracle = None
         g._backend = self._backend
         if inherit_oracles:
             empty = np.zeros((0, 2), dtype=np.int64)
-            self._inherit_lazy_oracles(g, empty, empty)
+            self._inherit_oracle(g, empty, empty)
         return g.with_edge_delta(added=np.stack(add, axis=1))
 
     # ------------------------------------------------------------------ #

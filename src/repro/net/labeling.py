@@ -20,7 +20,7 @@ roots' BFS prune almost immediately.  Because every vertex is processed,
 the resulting labels are **exact** for all pairs (same-component queries
 return the true hop distance, cross-component queries return
 :data:`~repro.net.oracle.UNREACHABLE`), so the backend is observationally
-identical to ``dense``/``lazy`` — the property tests enforce this.
+identical to ``lazy`` — the property tests enforce this.
 
 Construction (:func:`build_pruned_labels`) runs the roots in batches of
 :data:`~repro.net.oracle.BATCH_BITS`: one batch's pruned BFSs advance

@@ -10,8 +10,8 @@ dense ``(n, n)`` all-pairs matrix — an O(n²) memory/time wall.
 
 Backend-selection guide
 -----------------------
-Three interchangeable backends answer the same query interface.  Every
-graph starts on ``"lazy"``, at every size; pin another one by name with
+Two interchangeable backends answer the same query interface.  Every
+graph starts on ``"lazy"``, at every size; pin the other one by name with
 :meth:`Graph.use_distance_backend` when the workload shape calls for it:
 
 * ``"lazy"`` (:class:`LazyDistanceOracle`, the default) — keeps only CSR
@@ -21,9 +21,9 @@ graph starts on ``"lazy"``, at every size; pin another one by name with
   requests (``rows(sources)``) run through :func:`multi_source_bfs` — a
   bit-packed kernel that advances up to :data:`BATCH_BITS` sources per
   sweep, one uint64 frontier word-block per node.  Memory is
-  O(m + budgets).  The backbone pipelines read balls and head rows only,
-  so even at the paper's scales (N = 50-200) computing just those beats
-  materializing all n rows.
+  O(m + budgets).  The paper's constructions read only k-hop balls,
+  (2k+1)-hop neighbour sets and head-to-head rows, so no query shape
+  needs all n² pairs.
 * ``"landmark"`` (:class:`~repro.net.labeling.LandmarkDistanceOracle`) —
   a lazy oracle plus exact pruned landmark labels built from
   degree-ranked roots, :data:`BATCH_BITS` roots at a time; answers pair
@@ -32,14 +32,11 @@ graph starts on ``"lazy"``, at every size; pin another one by name with
   consumers (routing stretch sampling, NC neighbor selection, repair
   validation) once n is large enough that even one BFS row per query
   hurts.  Labels are built lazily on the first pair query.
-* ``"dense"`` (:class:`DenseDistanceOracle`) — materializes the full
-  all-pairs matrix once, via the batched bit-packed BFS kernel.  O(n²)
-  memory; only ever used when asked for by name.
 
 ``None`` means the default; any other name, ``"auto"`` and ``""``
 included, raises :class:`~repro.errors.InvalidParameterError`.
 
-All backends share the int32 :data:`UNREACHABLE` sentinel, which raises
+Both backends share the int32 :data:`UNREACHABLE` sentinel, which raises
 the previous int16 ceiling of 32766 nodes to :data:`MAX_ORACLE_NODES`
 (int32) behind the same API.
 
@@ -94,10 +91,10 @@ __all__ = [
     "MAX_ORACLE_NODES",
     "DIST_DTYPE",
     "BATCH_BITS",
+    "BACKENDS",
     "ByteBudgetLRU",
     "OracleStats",
     "DistanceOracle",
-    "DenseDistanceOracle",
     "LazyDistanceOracle",
     "csr_offsets",
     "csr_component_labels",
@@ -142,7 +139,7 @@ class OracleStats:
     """Introspection counters for benchmarks and memory assertions.
 
     Attributes:
-        backend: ``"dense"``, ``"lazy"``, ``"landmark"`` or ``"path-cache"``.
+        backend: ``"lazy"``, ``"landmark"`` or ``"path-cache"``.
         rows_computed: full BFS rows computed so far.
         row_hits: row queries answered from cache.
         balls_computed: depth-limited BFS balls computed so far.
@@ -403,7 +400,7 @@ class DistanceOracle:
     def prepare_balls(self, sources: Sequence[NodeId], radius: int) -> int:
         """Warm the ``radius``-ball cache for many sources in one pass.
 
-        A hint, not a query: backends without a ball cache (dense) ignore
+        A hint, not a query: an oracle without a ball cache may ignore
         it; the lazy backend batches the missing sources through the
         bit-packed depth-limited kernel so a following per-source
         :meth:`ball` sweep — e.g. the clustering declaration phase — hits
@@ -559,7 +556,6 @@ def multi_source_bfs(
     indices: IndexArray,
     n: int,
     sources: Sequence[int],
-    out: DistArray | None = None,
     max_depth: int | None = None,
 ) -> DistArray:
     """Bit-packed multi-source BFS: up to B sources advance together.
@@ -576,13 +572,10 @@ def multi_source_bfs(
     farther nodes at :data:`UNREACHABLE` — the batched equivalent of a
     depth-limited ball BFS, used to warm many balls in one pass.
 
-    Returns the ``(len(sources), n)`` int32 distance matrix (written into
-    ``out`` when given, which must have that shape).
+    Returns the ``(len(sources), n)`` int32 distance matrix.
     """
     num = len(sources)
-    if out is None:
-        out = np.empty((num, n), dtype=DIST_DTYPE)
-    out[:] = UNREACHABLE
+    out = np.full((num, n), UNREACHABLE, dtype=DIST_DTYPE)
     if num == 0 or n == 0:
         return out
     src = np.asarray(sources, dtype=np.int64)
@@ -649,121 +642,6 @@ def multi_source_bfs(
         visited |= nxt
         frontier = nxt
         active = np.flatnonzero(nxt.any(axis=1))
-
-
-# --------------------------------------------------------------------- #
-# dense backend
-# --------------------------------------------------------------------- #
-
-
-class DenseDistanceOracle(DistanceOracle):
-    """All-pairs matrix backend (the seed behavior): the explicit
-    ``backend="dense"`` choice.
-
-    The matrix is materialized once by the bit-packed batched BFS kernel
-    (:func:`multi_source_bfs`) in :data:`BATCH_BITS`-source sweeps —
-    O(n/64 · (n + m) · diameter) word operations instead of the seed's
-    O(n² · diameter) boolean matrix products — but remains O(n²) memory.
-    No graph selects it by default.  The class stays because the traced
-    benchmark run (``perfbench/layers.py``) imports it by name.
-    """
-
-    backend = "dense"
-
-    def __init__(self, graph: "Graph") -> None:
-        super().__init__(graph)
-        self._matrix: np.ndarray | None = None
-        self._sweeps = 0
-
-    @property
-    def materialized(self) -> bool:
-        """Whether the O(n²) matrix has been computed yet."""
-        return self._matrix is not None
-
-    @property
-    def matrix(self) -> DistArray:
-        """The full ``(n, n)`` int32 hop-distance matrix (computed once)."""
-        if self._matrix is None:
-            matrix, self._sweeps = _dense_all_pairs(self._graph)
-            self._matrix = _readonly(matrix)
-        return self._matrix
-
-    def row(self, source: NodeId) -> DistArray:
-        return self.matrix[source]
-
-    def cached_row(self, source: NodeId) -> DistArray | None:
-        return self._matrix[source] if self._matrix is not None else None
-
-    def rows(self, sources: Sequence[NodeId]) -> DistArray:
-        if len(sources) == 0:
-            return np.zeros((0, self._graph.n), dtype=DIST_DTYPE)
-        return self.matrix[np.asarray(sources, dtype=np.intp)]
-
-    def distance(self, u: NodeId, v: NodeId) -> int:
-        return int(self.matrix[u, v])
-
-    def pairwise_distances(self, nodes: Sequence[NodeId]) -> DistArray:
-        idx = np.asarray([int(x) for x in nodes], dtype=np.intp)
-        return self.matrix[np.ix_(idx, idx)]
-
-    def ball(self, source: NodeId, radius: int) -> Tuple[IndexArray, DistArray]:
-        _check_radius(radius)
-        return _ball_from_row(self.matrix[source], radius)
-
-    def stats(self) -> OracleStats:
-        nbytes = self._matrix.nbytes if self._matrix is not None else 0
-        n = self._graph.n
-        return OracleStats(
-            backend=self.backend,
-            rows_computed=n if self._matrix is not None else 0,
-            row_hits=0,
-            balls_computed=0,
-            ball_hits=0,
-            cached_bytes=nbytes,
-            peak_cached_bytes=nbytes,
-            batched_sweeps=self._sweeps,
-            # Dense oracles never inherit: lineage == own totals.
-            lineage_rows_computed=n if self._matrix is not None else 0,
-        )
-
-
-def _locality_order(
-    indptr: np.ndarray, indices: np.ndarray, n: int
-) -> np.ndarray:
-    """Order nodes so consecutive batches are graph-local (double sweep).
-
-    Sources batched into one bit-packed sweep share frontier state, so
-    the sweep is cheapest when their BFS wavefronts overlap.  Sorting
-    nodes lexicographically by hop distance from two mutually far
-    landmarks (found by the classic double-sweep heuristic) makes each
-    :data:`BATCH_BITS`-node slice spatially compact — measured ~25%
-    faster full materialization at n=5000 for ~3 extra BFS of setup.
-    """
-    d0, _ = _csr_bfs(indptr, indices, n, 0)
-    a = int(np.argmax(np.where(d0 < UNREACHABLE, d0, -1)))
-    d_a, _ = _csr_bfs(indptr, indices, n, a)
-    b = int(np.argmax(np.where(d_a < UNREACHABLE, d_a, -1)))
-    d_b, _ = _csr_bfs(indptr, indices, n, b)
-    return np.lexsort((np.arange(n), d_b, d_a))
-
-
-def _dense_all_pairs(graph: "Graph") -> tuple[np.ndarray, int]:
-    """All-pairs matrix via batched bit-packed BFS; returns (matrix, sweeps)."""
-    n = graph.n
-    if n == 0:
-        return np.zeros((0, 0), dtype=DIST_DTYPE), 0
-    indptr, indices = graph.csr_adjacency
-    out = np.empty((n, n), dtype=DIST_DTYPE)
-    if n > BATCH_BITS:
-        order = _locality_order(indptr, indices, n)
-    else:
-        order = np.arange(n)
-    sweeps = 0
-    for start in range(0, n, BATCH_BITS):
-        chunk = order[start : min(start + BATCH_BITS, n)]
-        out[chunk] = multi_source_bfs(indptr, indices, n, chunk)
-        sweeps += 1
-    return out, sweeps
 
 
 # --------------------------------------------------------------------- #
@@ -1384,45 +1262,47 @@ class LazyDistanceOracle(DistanceOracle):
         )
 
 
+#: Old name of the deleted all-pairs backend, bound to the lazy class.
+#: Only the benchmark harness still imports it
+#: (``perfbench/layers.py::_track_oracles``), and the harness changes only
+#: in benchmark changes; the one that finishes ROADMAP item 1 deletes
+#: this alias.  Not exported.
+DenseDistanceOracle = LazyDistanceOracle
+
+
 # --------------------------------------------------------------------- #
 # factory
 # --------------------------------------------------------------------- #
 
-_BACKENDS = ("dense", "lazy", "landmark")
+#: Every distance backend name (``"lazy"`` is the default).
+BACKENDS: tuple[str, ...] = ("lazy", "landmark")
 
 
 def resolve_backend(backend: str | None) -> str:
     """Resolve ``backend`` (``None`` for the default) to a concrete name."""
     if backend is None:
         return "lazy"
-    if backend not in _BACKENDS:
+    if backend not in BACKENDS:
         raise InvalidParameterError(
-            f"unknown distance backend {backend!r}; known: {list(_BACKENDS)}"
+            f"unknown distance backend {backend!r}; known: {list(BACKENDS)}"
         )
     return backend
 
 
 def build_distance_oracle(
     graph: "Graph", backend: str | None = None, **kwargs
-) -> DistanceOracle:
+) -> LazyDistanceOracle:
     """Build a distance oracle for ``graph``.
 
     Args:
         graph: the network graph.
-        backend: ``"lazy"`` (also ``None``, the default), ``"landmark"``
-            or ``"dense"``.  See the module docstring for the selection
+        backend: ``"lazy"`` (also ``None``, the default) or
+            ``"landmark"``.  See the module docstring for the selection
             guide.
-        **kwargs: backend-specific options (lazy/landmark:
-            ``row_cache_bytes``, ``ball_cache_bytes``).
+        **kwargs: cache budgets, ``row_cache_bytes`` and
+            ``ball_cache_bytes``.
     """
-    name = resolve_backend(backend)
-    if name == "dense":
-        if kwargs:
-            raise InvalidParameterError(
-                f"dense backend takes no options, got {sorted(kwargs)}"
-            )
-        return DenseDistanceOracle(graph)
-    if name == "landmark":
+    if resolve_backend(backend) == "landmark":
         from .labeling import LandmarkDistanceOracle
 
         return LandmarkDistanceOracle(graph, **kwargs)

@@ -23,7 +23,8 @@ couples recovery to code layout and silently breaks across versions).
 A truncated *last* line in the event log (the classic
 killed-mid-append) is tolerated: :func:`read_events` drops it, which is
 exactly right — an event that never finished reaching the log was never
-applied either.
+applied either.  Any other unreadable line is corruption and raises
+:class:`~repro.errors.InvalidParameterError` naming the file and line.
 """
 
 from __future__ import annotations
@@ -86,7 +87,12 @@ def append_event(
 
 
 def read_events(directory: Union[str, Path]) -> list[ServiceEvent]:
-    """Parse the event log back, dropping a truncated trailing line."""
+    """Parse the event log back, dropping a truncated trailing line.
+
+    Raises :class:`~repro.errors.InvalidParameterError` naming the file
+    and line for an earlier line that is not JSON, or for any line that
+    is not an event record.
+    """
     path = Path(directory) / EVENT_LOG_NAME
     if not path.exists():
         return []
@@ -97,11 +103,18 @@ def read_events(directory: Union[str, Path]) -> list[ServiceEvent]:
             continue
         try:
             rec = json.loads(line)
-        except json.JSONDecodeError:
+        except json.JSONDecodeError as exc:
             if i >= len(lines) - 2:  # the killed-mid-append tail
                 break
-            raise
-        events.append(ServiceEvent.from_record(rec))
+            raise InvalidParameterError(
+                f"{path} line {i + 1}: not JSON ({exc.msg})"
+            ) from exc
+        try:
+            events.append(ServiceEvent.from_record(rec))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise InvalidParameterError(
+                f"{path} line {i + 1}: not an event record ({exc!r})"
+            ) from exc
     return events
 
 

@@ -79,6 +79,7 @@ from ..maintenance.repair import (
 )
 from ..maintenance.step import carry_delta, carry_repair
 from ..net.graph import Graph
+from ..net.oracle import BACKENDS
 from ..net.paths import PathOracle
 from ..net.topology import Topology, random_topology
 from ..obs import counter as obs_counter
@@ -116,7 +117,8 @@ class ServiceConfig:
         algorithm: backbone algorithm; must be localized (the repair
             ladder's degraded floor and partition-tolerant rebuilds rule
             out G-MST).
-        backend: distance-oracle backend pinned on every graph.
+        backend: distance-oracle backend pinned on every graph
+            (``"lazy"`` or ``"landmark"``).
         seed: master seed — initial topology, event schedules, and the
             engine's runtime RNG stream all derive from it.
         base_loss: uniform per-hop loss under which flows are delivered
@@ -151,6 +153,11 @@ class ServiceConfig:
             raise InvalidParameterError(f"need n >= 2, got {self.n}")
         if self.k < 1:
             raise InvalidParameterError(f"need k >= 1, got {self.k}")
+        if self.backend not in BACKENDS:
+            raise InvalidParameterError(
+                f"unknown distance backend {self.backend!r} "
+                f"(known: {list(BACKENDS)})"
+            )
         if not 0.0 <= self.base_loss < 1.0:
             raise InvalidParameterError(
                 f"base_loss must be in [0, 1), got {self.base_loss}"

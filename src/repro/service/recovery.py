@@ -29,7 +29,7 @@ from typing import Optional, Sequence, Union
 from ..errors import InvalidParameterError
 from ..obs import counter as obs_counter
 from ..obs import span
-from .checkpoint import latest_checkpoint, read_events
+from .checkpoint import checkpoint_path, latest_checkpoint, read_events
 from .engine import ServiceConfig, ServiceEngine
 from .events import ServiceEvent
 
@@ -71,7 +71,9 @@ def recover(
     Restores the newest valid checkpoint (or starts fresh when none
     exists yet) and replays the event-log tail.  ``config`` defaults to
     the knobs recorded in the checkpoint; for a checkpoint-less
-    directory it must be supplied.
+    directory it must be supplied.  A checkpoint whose knobs or state
+    cannot be restored raises
+    :class:`~repro.errors.InvalidParameterError` naming the file.
     """
     directory = Path(directory)
     snapshot = latest_checkpoint(directory)
@@ -89,11 +91,17 @@ def recover(
             engine = ServiceEngine(config, directory)
         else:
             seq, record = snapshot
-            if config is None:
-                config = ServiceConfig.from_record(record["knobs"])
-            engine = ServiceEngine.from_state(
-                config, record["state"], directory
-            )
+            try:
+                if config is None:
+                    config = ServiceConfig.from_record(record["knobs"])
+                engine = ServiceEngine.from_state(
+                    config, record["state"], directory
+                )
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise InvalidParameterError(
+                    f"{checkpoint_path(directory, seq)}: cannot restore "
+                    f"({exc!r})"
+                ) from exc
         replayed = replay_events(engine, events)
     obs_counter("service.recoveries").add()
     obs_counter("service.events_replayed").add(replayed)

@@ -57,7 +57,7 @@ from ..maintenance.repair import rebuild_survivors
 from ..maintenance.step import carry_delta
 from ..net.graph import Graph
 from ..net.mobility import RandomWaypoint, snapshot_edge_delta
-from ..net.oracle import DIST_DTYPE, LazyDistanceOracle
+from ..net.oracle import DIST_DTYPE
 from ..net.paths import PathOracle
 from ..net.topology import Topology, random_topology
 from ..obs import publish_counters, span
@@ -269,10 +269,8 @@ def simulate_mobile_traffic(
         algorithm: backbone pipeline.
         engine: ``"delta"`` (incremental, the default) or ``"rebuild"``
             (from-scratch baseline) — walk-identical by construction.
-            Delta-side cache inheritance applies to the lazy oracle
-            family, every graph's default; a graph pinned to
-            ``"dense"`` produces identical results, just without the
-            row reuse.
+            The delta engine carries the oracle's caches on either
+            backend; the rebuild engine starts every snapshot cold.
         collect_walks: keep every epoch's routed walks on the report
             (memory-heavy; the equivalence benchmark needs it).
         degraded: serve disconnected snapshots by component-local
@@ -303,8 +301,9 @@ def simulate_mobile_traffic(
     )
     # Both engines start from a cold copy so the comparison is honest:
     # neither inherits whatever caches the caller's topology accumulated.
-    graph = Graph(topology.graph.n, topology.graph.edge_array)
-    graph._backend = topology.graph._backend
+    graph = Graph(
+        topology.graph.n, topology.graph.edge_array
+    ).use_distance_backend(topology.graph.distance_backend)
     report = MobileTrafficReport(engine=engine, k=k, algorithm=algorithm)
     if collect_walks:
         report.walks = []
@@ -331,25 +330,26 @@ def simulate_mobile_traffic(
                     added, removed = snapshot_edge_delta(graph, snapshot)
                     if engine == "delta":
                         derived = graph.with_edge_delta(added, removed)
-                        if derived is not graph:  # empty deltas return self:
-                            # re-reading the same oracles would double-count.
-                            for oracle in derived._oracles.values():
-                                if isinstance(oracle, LazyDistanceOracle):
-                                    stats = oracle.stats()
-                                    report.rows_inherited += stats.rows_inherited
-                                    report.balls_inherited += stats.balls_inherited
-                                    publish_counters(
-                                        "oracle.inherit",
-                                        {
-                                            "rows": stats.rows_inherited,
-                                            "balls": stats.balls_inherited,
-                                        },
-                                    )
+                        # Empty deltas return self (re-reading its oracle
+                        # would double-count), and a graph that never
+                        # built an oracle carried none.
+                        carried = derived._oracle if derived is not graph else None
+                        if carried is not None:
+                            stats = carried.stats()
+                            report.rows_inherited += stats.rows_inherited
+                            report.balls_inherited += stats.balls_inherited
+                            publish_counters(
+                                "oracle.inherit",
+                                {
+                                    "rows": stats.rows_inherited,
+                                    "balls": stats.balls_inherited,
+                                },
+                            )
                         graph = derived
                     else:
-                        g = Graph(graph.n, snapshot)
-                        g._backend = graph._backend
-                        graph = g
+                        graph = Graph(graph.n, snapshot).use_distance_backend(
+                            graph.distance_backend
+                        )
                     pending_touched.update(added.ravel().tolist())
                     pending_touched.update(removed.ravel().tolist())
 

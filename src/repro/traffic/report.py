@@ -85,10 +85,10 @@ def run_traffic(
         lifetime_epochs: when > 0, also run the traffic-driven lifetime
             comparison (rotation vs static) for this many epochs.
         energy_params: energy constants for the lifetime comparison.
-        backend: pin the hop-distance backend (``"lazy"``/``"landmark"``/
-            ``"dense"``); None keeps the graph's default (``"lazy"``).
+        backend: pin the hop-distance backend (``"lazy"`` or
+            ``"landmark"``); None keeps the graph's default (``"lazy"``).
             Batch routing is pair-query-heavy, so the CLI pins
-            ``"landmark"`` — results are identical on every backend.
+            ``"landmark"`` — results are identical on both backends.
         balance: route with the load-adaptive multipath mode
             (``repro-khop traffic --balance``) instead of canonical
             single-path walks; the optimizer's counters land in

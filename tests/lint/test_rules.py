@@ -278,17 +278,23 @@ class TestDenseAllocationR003:
         assert codes(run) == []
 
     def test_dense_backend_allowlist(self, lint_tree):
+        # The allowlisted qualname passes; a sibling in the same module
+        # still fires.
         run = lint_tree(
             {
                 "src/repro/net/oracle.py": """\
                 import numpy as np
 
-                def _dense_all_pairs(n):
+                class DistanceOracle:
+                    def pairwise_distances(self, n):
+                        return np.zeros((n, n))
+
+                def all_pairs(n):
                     return np.zeros((n, n))
                 """
             }
         )
-        assert codes(run) == []
+        assert codes(run) == ["R003"]
 
     def test_pragma_suppresses(self, lint_tree):
         run = lint_tree(

@@ -198,13 +198,13 @@ class TestOracleDeltaInheritance:
         topo = random_topology(80, degree=6.0, seed=9)
         g = Graph(topo.graph.n, topo.graph.edges)
         g.use_distance_backend("landmark")
-        o = g.distance_oracle("landmark")
+        o = g.oracle
         assert o.distance(0, 40) >= 1  # builds labels
         assert o.labels_built
         for s in range(0, 80, 5):
             o.row(s)
         g2 = g.with_edge_delta([], [g.edges[0]])
-        o2 = g2.distance_oracle("landmark")
+        o2 = g2.oracle
         assert type(o2) is type(o)
         assert not o2.labels_built  # labels never survive a delta
         assert o2.stats().rows_inherited > 0

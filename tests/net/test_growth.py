@@ -112,7 +112,9 @@ class TestWithNodes:
         warm = g.oracle.rows(range(6))
         count, edges = _random_arrival(rng, g)
         g2 = g.with_nodes(count, edges, inherit_oracles=False)
-        assert g2._oracles == {}
+        stats = g2.oracle.stats()
+        assert stats.backend == g.oracle.backend
+        assert stats.cached_bytes == 0 and stats.lineage_inherits == 0
         carried = g.with_nodes(count, edges)
         for u in range(6):
             assert np.array_equal(

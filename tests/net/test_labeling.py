@@ -146,7 +146,8 @@ def test_labels_exact_after_chained_removals(g, removals):
     for _ in range(min(removals, g.n - 1)):
         x = alive.pop(len(alive) // 2)
         current = current.without_nodes([x])
-    oracle = current.distance_oracle("landmark")
+    oracle = current.oracle
+    assert oracle.backend == "landmark"
     reference = LazyDistanceOracle(Graph(current.n, current.edges))
     for u in range(current.n):
         ref_row = reference.row(u)

@@ -1,6 +1,6 @@
 """Tests for the pluggable distance-oracle subsystem.
 
-The load-bearing property: every backend (dense, lazy, landmark) answers
+The load-bearing property: every backend (lazy, landmark) answers
 the distances networkx BFS finds — same rows, same balls, same
 :data:`UNREACHABLE` entries where no path exists — and the backends give
 the same canonical paths and end-to-end backbones, so every consumer can
@@ -18,12 +18,12 @@ from repro.core.pipeline import build_backbone
 from repro.errors import InvalidParameterError
 from repro.net.generators import grid_graph, path_graph, ring_of_cliques, toroidal_grid
 from repro.net.graph import UNREACHABLE, Graph
+from repro.net.labeling import LandmarkDistanceOracle
 from repro.net.oracle import (
     BATCH_BITS,
     DIST_DTYPE,
     MAX_ORACLE_NODES,
     ByteBudgetLRU,
-    DenseDistanceOracle,
     LazyDistanceOracle,
     _check_size,
     build_distance_oracle,
@@ -37,7 +37,7 @@ from repro.net.topology import random_topology
 from ..conftest import connected_graphs, ks
 
 #: Every distance backend; each must match the networkx reference.
-BACKENDS = ("dense", "lazy", "landmark")
+BACKENDS = ("lazy", "landmark")
 
 
 def fresh_copy(g: Graph, backend: str) -> Graph:
@@ -115,7 +115,7 @@ class TestBackendEquivalence:
                 bb.selected_links,
                 bb.gateways,
             )
-        assert results["dense"] == results["lazy"] == results["landmark"]
+        assert results["lazy"] == results["landmark"]
 
     @given(connected_graphs())
     @settings(max_examples=30, deadline=None)
@@ -131,7 +131,7 @@ class TestBackendEquivalence:
 
     def test_huge_radius_ball_excludes_unreachable_on_both_backends(self):
         g = Graph(4, [(0, 1), (2, 3)])  # two components
-        for backend in ("dense", "lazy"):
+        for backend in BACKENDS:
             oracle = build_distance_oracle(g, backend)
             nodes, dists = oracle.ball(0, UNREACHABLE)
             assert nodes.tolist() == [0, 1], backend
@@ -230,7 +230,7 @@ class TestLazyCachePolicy:
             LazyDistanceOracle(path_graph(3), row_cache_bytes=-1)
 
     def test_negative_radius_rejected(self):
-        for backend in ("dense", "lazy"):
+        for backend in BACKENDS:
             oracle = build_distance_oracle(path_graph(3), backend)
             with pytest.raises(InvalidParameterError):
                 oracle.ball(0, -1)
@@ -243,54 +243,42 @@ class TestLazyCachePolicy:
 
 class TestBackendSelection:
     def test_auto_policy(self):
-        # One default at every size: no graph selects dense by itself.
+        # One default at every size.
         for n in (1, 512, 513, 10_000):
             g = Graph(n)
             assert g.distance_backend == "lazy"
             assert g.oracle.backend == "lazy"
         assert resolve_backend(None) == "lazy"
-        assert resolve_backend("dense") == "dense"
-        for name in ("auto", ""):
+        for name in ("auto", "", "dense"):
             with pytest.raises(InvalidParameterError):
                 resolve_backend(name)
             with pytest.raises(InvalidParameterError):
                 build_distance_oracle(path_graph(3), name)
             with pytest.raises(InvalidParameterError):
                 path_graph(3).use_distance_backend(name)
-            with pytest.raises(InvalidParameterError):
-                path_graph(3).distance_oracle(name)
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            build_distance_oracle(path_graph(3), "sparse-ish")
-        with pytest.raises(InvalidParameterError):
-            path_graph(3).use_distance_backend("nope")
-
-    def test_dense_backend_rejects_lazy_options(self):
-        with pytest.raises(InvalidParameterError):
-            build_distance_oracle(path_graph(3), "dense", row_cache_bytes=1)
+        for name in ("sparse-ish", "dense"):
+            with pytest.raises(InvalidParameterError):
+                resolve_backend(name)
+            with pytest.raises(InvalidParameterError):
+                build_distance_oracle(path_graph(3), name)
+            with pytest.raises(InvalidParameterError):
+                path_graph(3).use_distance_backend(name)
 
     def test_oracle_cached_per_backend(self):
+        # A graph holds one oracle, for its pinned backend.
         g = path_graph(5)
-        assert g.distance_oracle("lazy") is g.distance_oracle("lazy")
-        assert g.distance_oracle("dense") is not g.distance_oracle("lazy")
-
-    def test_pinned_backend_restores_policy(self):
-        g = grid_graph(3, 3)
-        assert g.distance_backend == "lazy"
-        with g.pinned_distance_backend("dense"):
-            assert g.distance_backend == "dense"
-        assert g.distance_backend == "lazy"
-
-    def test_run_pipeline_backend_is_per_call(self):
-        from repro.core.pipeline import run_pipeline
-
-        g = grid_graph(4, 4)
-        run_pipeline(g, 1, distance_backend="landmark")
-        assert g.distance_backend == "lazy"
+        lazy = g.oracle
+        assert g.oracle is lazy  # repeat reads share the instance
+        assert g.use_distance_backend("lazy").oracle is lazy  # same pin
+        landmark = g.use_distance_backend("landmark").oracle
+        assert type(landmark) is LandmarkDistanceOracle
+        assert landmark.backend == g.distance_backend == "landmark"
+        assert g.oracle is landmark
 
     def test_ball_map(self):
-        for backend in ("dense", "lazy"):
+        for backend in BACKENDS:
             oracle = build_distance_oracle(path_graph(5), backend)
             assert oracle.ball_map(2, 1) == {1: 1, 2: 0, 3: 1}
 
@@ -313,7 +301,7 @@ class TestBackendSelection:
         n = 40_000
         assert n > np.iinfo(np.int16).max
         g = Graph(n, [(0, 1)])
-        oracle = g.distance_oracle("lazy")
+        oracle = g.oracle
         row = oracle.row(0)
         assert row.dtype == DIST_DTYPE
         assert int(row[1]) == 1 and int(row[n - 1]) == UNREACHABLE
@@ -525,14 +513,6 @@ class TestBatchedBalls:
         oracle.prepare_balls(range(g.n), 2)
         assert oracle.stats().batched_sweeps == (g.n + BATCH_BITS - 1) // BATCH_BITS
 
-    def test_dense_backend_ignores_the_hint(self):
-        g = path_graph(8)
-        oracle = DenseDistanceOracle(g)
-        assert oracle.prepare_balls(range(g.n), 2) == 0
-        nodes, dists = oracle.ball(3, 2)
-        assert nodes.tolist() == [1, 2, 3, 4, 5]
-        assert dists.tolist() == [2, 1, 0, 1, 2]
-
     def test_negative_radius_rejected(self):
         oracle = LazyDistanceOracle(path_graph(4))
         with pytest.raises(InvalidParameterError):
@@ -553,7 +533,7 @@ class TestPartialRowInheritance:
         g = self.warm(random_topology(250, degree=8.0, seed=9).graph)
         removed = 17
         g2 = g.without_nodes([removed])
-        oracle = g2.distance_oracle("lazy")
+        oracle = g2.oracle
         # the removal is reachable from every warmed source: their rows
         # are dropped rather than carried stale
         sources = list(range(0, g.n, 5))
@@ -571,7 +551,7 @@ class TestPartialRowInheritance:
         row_before = np.array(g.oracle.row(source))
         removed = int(np.flatnonzero(row_before == 3)[0])
         g2 = g.without_nodes([removed])
-        oracle = g2.distance_oracle("lazy")
+        oracle = g2.oracle
         assert oracle.cached_row(source) is None
         after = oracle.row(source)
         near = row_before <= 3
@@ -592,7 +572,7 @@ class TestPartialRowInheritance:
                 x = int(rng.integers(0, g.n))
             gone.append(x)
             current = current.without_nodes([x])
-        oracle = current.distance_oracle("lazy")
+        oracle = current.oracle
         truth = LazyDistanceOracle(Graph(g.n, current.edges))
         for s in range(0, g.n, 5):
             assert np.array_equal(oracle.row(s), truth.row(s)), s
@@ -600,7 +580,7 @@ class TestPartialRowInheritance:
     def test_rows_batch_recomputes_and_retires_partials(self):
         g = self.warm(random_topology(200, degree=8.0, seed=23).graph)
         g2 = g.without_nodes([11])
-        oracle = g2.distance_oracle("lazy")
+        oracle = g2.oracle
         sources = list(range(0, g.n, 5))
         assert all(oracle.cached_row(s) is None for s in sources)
         block = oracle.rows(sources)
@@ -615,7 +595,7 @@ class TestPartialRowInheritance:
     def test_removed_source_row_recomputed_cold(self):
         g = self.warm(path_graph(12), step=1)
         g2 = g.without_nodes([4])
-        oracle = g2.distance_oracle("lazy")
+        oracle = g2.oracle
         row = oracle.row(4)  # the dead node itself: isolated
         assert row[4] == 0
         assert (np.delete(row, 4) == UNREACHABLE).all()
@@ -623,7 +603,7 @@ class TestPartialRowInheritance:
     def test_fresh_row_supersedes_partial(self):
         g = self.warm(toroidal_grid(8, 8), step=4)
         g2 = g.without_nodes([9])
-        oracle = g2.distance_oracle("lazy")
+        oracle = g2.oracle
         sources = list(range(0, g.n, 4))
         assert all(oracle.cached_row(s) is None for s in sources)
         truth2 = LazyDistanceOracle(Graph(g.n, g2.edges))
@@ -631,7 +611,7 @@ class TestPartialRowInheritance:
             assert np.array_equal(oracle.row(s), truth2.row(s)), s
         # a second removal must not resurrect pre-first-removal state
         g3 = g2.without_nodes([33])
-        oracle3 = g3.distance_oracle("lazy")
+        oracle3 = g3.oracle
         truth = LazyDistanceOracle(Graph(g.n, g3.edges))
         for s in sources:
             assert np.array_equal(oracle3.row(s), truth.row(s)), s
@@ -643,7 +623,7 @@ class TestPartialRowInheritance:
         g = random_topology(120, degree=8.0, seed=29).graph
         row_budget = 3 * g.n * np.dtype(np.int32).itemsize
         ball_budget = 2048
-        g._oracles["lazy"] = LazyDistanceOracle(
+        g._oracle = LazyDistanceOracle(
             g, row_cache_bytes=row_budget, ball_cache_bytes=ball_budget
         )
         rng = np.random.default_rng(5)
@@ -652,7 +632,7 @@ class TestPartialRowInheritance:
             for s in range(0, g.n, 2):
                 current.oracle.row(s)
                 current.oracle.ball(s, 2)
-            check(current.distance_oracle("lazy"), row_budget, ball_budget)
+            check(current.oracle, row_budget, ball_budget)
             if step % 2 == 0:
                 current = current.without_nodes([int(rng.integers(0, g.n))])
             else:
@@ -666,7 +646,7 @@ class TestPartialRowInheritance:
                 ]
                 added = [e for e in added if e not in gone]
                 current = current.with_edge_delta(added, removed)
-            check(current.distance_oracle("lazy"), row_budget, ball_budget)
+            check(current.oracle, row_budget, ball_budget)
 
     def test_partial_rows_bounded_by_row_budget(self):
         # Rows a removal leaves stale are dropped, not parked outside the

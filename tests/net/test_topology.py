@@ -219,7 +219,7 @@ class TestCellBinnedEdges:
     def test_large_n_uses_lazy_backend_by_default(self):
         topo = random_topology(1500, degree=12.0, seed=3)
         assert topo.graph.distance_backend == "lazy"
-        assert "dense" not in topo.graph._oracles  # no dense oracle built
+        assert topo.graph.oracle.backend == "lazy"
 
     def test_zero_radius_matches_dense_path(self):
         # Coincident points are within range 0 of each other.

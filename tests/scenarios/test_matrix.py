@@ -41,13 +41,13 @@ GENERATORS = {
     "ring-of-cliques": lambda: ring_of_cliques(10, 6),
 }
 WORKLOAD_KINDS = ("uniform", "cbr", "hotspot", "gossip")
-BACKENDS = ("dense", "lazy", "landmark")
+BACKENDS = ("lazy", "landmark")
 
 #: Cells that run in tier-1 (one per generator / workload / backend so
 #: every axis keeps quick coverage); the rest are slow.
 QUICK_STATIC = {
     ("unit-disk", "uniform", "lazy"),
-    ("unit-disk", "hotspot", "dense"),
+    ("unit-disk", "hotspot", "landmark"),
     ("toroidal", "gossip", "landmark"),
     ("ring-of-cliques", "cbr", "lazy"),
 }

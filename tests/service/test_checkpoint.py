@@ -47,7 +47,19 @@ class TestEventLog:
         lines = path.read_text().splitlines()
         lines[1] = '{"seq": 1, "kind":'
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(json.JSONDecodeError):
+        with pytest.raises(InvalidParameterError, match=r"events\.jsonl line 2: not JSON"):
+            read_events(tmp_path)
+
+    def test_record_without_kind_raises(self, tmp_path):
+        for ev in _events(4):
+            append_event(tmp_path, ev)
+        path = tmp_path / EVENT_LOG_NAME
+        lines = path.read_text().splitlines()
+        lines[2] = json.dumps({"seq": 2, "flows": 5})
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(
+            InvalidParameterError, match=r"events\.jsonl line 3: not an event record"
+        ):
             read_events(tmp_path)
 
     def test_no_fsync_still_consistent(self, tmp_path):

@@ -42,6 +42,12 @@ class TestServiceConfig:
         with pytest.raises(InvalidParameterError):
             _config(algorithm="G-MST")
 
+    def test_rejects_unknown_backend(self):
+        for name in ("dense", "auto"):
+            with pytest.raises(InvalidParameterError, match="backend"):
+                _config(backend=name)
+        assert _config(backend="landmark").backend == "landmark"
+
     def test_record_round_trip(self):
         cfg = _config(base_loss=0.1, fsync=False)
         assert ServiceConfig.from_record(cfg.to_record()) == cfg

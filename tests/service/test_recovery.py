@@ -7,10 +7,16 @@ digests, delivered fractions, and RNG stream position
 (:meth:`ServiceEngine.fingerprint` equality).
 """
 
+import json
+
 import pytest
 
 from repro.errors import InvalidParameterError
-from repro.service.checkpoint import EVENT_LOG_NAME, latest_checkpoint
+from repro.service.checkpoint import (
+    EVENT_LOG_NAME,
+    checkpoint_path,
+    latest_checkpoint,
+)
 from repro.service.engine import ServiceConfig, ServiceEngine, _initial_topology
 from repro.service.events import ServiceEvent, seeded_schedule
 from repro.service.recovery import recover, replay_events
@@ -38,7 +44,7 @@ def _uninterrupted(cfg, sched):
 
 
 class TestRoundTripAcrossBackends:
-    @pytest.mark.parametrize("backend", ["dense", "lazy", "landmark"])
+    @pytest.mark.parametrize("backend", ["lazy", "landmark"])
     def test_state_round_trip(self, backend, tmp_path):
         cfg = _config(backend=backend, seed=7)
         sched = _schedule(cfg, 18)
@@ -49,7 +55,7 @@ class TestRoundTripAcrossBackends:
         )
         assert restored.fingerprint() == engine.fingerprint()
 
-    @pytest.mark.parametrize("backend", ["dense", "lazy", "landmark"])
+    @pytest.mark.parametrize("backend", ["lazy", "landmark"])
     def test_restored_engine_continues_identically(self, backend, tmp_path):
         cfg = _config(backend=backend, seed=9)
         sched = _schedule(cfg, 24)
@@ -120,6 +126,33 @@ class TestKillAndRecover:
         tail = [ServiceEvent(seq=5, kind="flow", flows=3)]
         with pytest.raises(InvalidParameterError):
             replay_events(engine, tail)
+
+    @staticmethod
+    def _rewrite_newest_checkpoint(directory, edit):
+        """Apply ``edit`` to the newest checkpoint record in place."""
+        seq, record = latest_checkpoint(directory)
+        edit(record)
+        path = checkpoint_path(directory, seq)
+        path.write_text(json.dumps(record))
+        return path
+
+    def test_checkpoint_missing_state_field_raises(self, tmp_path):
+        cfg = _config(seed=29)
+        ServiceEngine(cfg, tmp_path).apply_all(_schedule(cfg, 14))
+        path = self._rewrite_newest_checkpoint(
+            tmp_path, lambda rec: rec["state"].pop("dead")
+        )
+        with pytest.raises(InvalidParameterError, match=path.name):
+            recover(tmp_path)
+
+    def test_checkpoint_naming_unknown_backend_raises(self, tmp_path):
+        cfg = _config(seed=31)
+        ServiceEngine(cfg, tmp_path).apply_all(_schedule(cfg, 14))
+        path = self._rewrite_newest_checkpoint(
+            tmp_path, lambda rec: rec["knobs"].update(backend="dense")
+        )
+        with pytest.raises(InvalidParameterError, match=path.name):
+            recover(tmp_path)
 
     def test_rng_stream_position_survives(self, tmp_path):
         """The recovered stream must continue, not restart."""

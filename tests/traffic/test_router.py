@@ -48,19 +48,17 @@ class TestBatchEquivalence:
         """Every batched walk equals the looped cds.routing.route() walk."""
         g = backbone.clustering.graph
         wl = uniform_pairs(g.n, 400, seed=21)
-        import contextlib
-
-        ctx = (
-            g.pinned_distance_backend(pin_backend)
-            if pin_backend
-            else contextlib.nullcontext()
-        )
-        with ctx:
+        previous = g.distance_backend
+        if pin_backend:
+            g.use_distance_backend(pin_backend)
+        try:
             routed = BatchRouter(backbone).route_flows(wl)
             oracle = PathOracle(g)
             for i in range(wl.num_flows):
                 s, t = int(wl.sources[i]), int(wl.targets[i])
                 assert routed.walks[i] == route(backbone, oracle, s, t), (s, t)
+        finally:
+            g.use_distance_backend(previous)
 
     def test_walks_are_real_edge_walks(self, backbone):
         g = backbone.clustering.graph
