@@ -15,13 +15,19 @@ import zlib
 import numpy as np
 import pytest
 
+from repro.core.clustering import khop_cluster
+from repro.core.pipeline import build_backbone
 from repro.faults.chaos import run_chaos
 from repro.maintenance.churn import simulate_churn, simulate_churn_rebuild
 from repro.net.topology import random_topology
 from repro.service.engine import ServiceConfig, run_service
-from repro.traffic.lifetime import compare_rotation_under_traffic
+from repro.traffic.lifetime import (
+    compare_rotation_under_traffic,
+    simulate_traffic_lifetime,
+)
 from repro.traffic.mobile import simulate_mobile_traffic
-from repro.traffic.workloads import make_workload
+from repro.traffic.router import BatchRouter
+from repro.traffic.workloads import make_workload, uniform_pairs
 
 #: Digests recorded before the loops shared the maintenance step.  The
 #: two mobility ``counters`` pins were re-recorded when connectivity
@@ -31,6 +37,8 @@ from repro.traffic.workloads import make_workload
 #: They were re-recorded again when the oracle stopped keeping partial
 #: rows: the always-0 ``rows_partial_inherited`` left the digested tuple
 #: (it read 94 skip, 64 degraded) and every other member is unchanged.
+#: The three ``balance.*`` pins were recorded before the head router's
+#: caches were merged into one sequence-keyed walk cache.
 PINNED = {
     "service.counts": "6262a39e",
     "mobility.skip.epochs": "22815d09",
@@ -46,6 +54,11 @@ PINNED = {
     "chaos.epochs": "5d93a591",
     "churn.simulate_churn": "53826690",
     "churn.simulate_churn_rebuild": "aa6e9471",
+    "balance.route_flows": "9da2feaf",
+    "balance.lifetime.energy.epochs": "1f27e0ec",
+    "balance.lifetime.energy.summary": "d17ae002",
+    "balance.lifetime.static.epochs": "cc670f68",
+    "balance.lifetime.static.summary": "21e3dffa",
 }
 
 
@@ -136,16 +149,9 @@ def test_rotation_under_traffic(scheme):
     report = reports[scheme]
     assert report.total_deaths > 0
     assert _digest(report.epochs) == PINNED[f"lifetime.{scheme}.epochs"]
-    assert _digest(
-        (
-            report.deaths,
-            report.repair_actions,
-            report.head_service,
-            report.first_partition_epoch,
-            report.router_rebuilds_avoided,
-            report.router_legs_inherited,
-        )
-    ) == PINNED[f"lifetime.{scheme}.summary"]
+    assert _digest(_lifetime_summary(report)) == PINNED[
+        f"lifetime.{scheme}.summary"
+    ]
 
 
 def test_chaos_epoch_records():
@@ -155,6 +161,53 @@ def test_chaos_epoch_records():
         141, 25, 149,
     )
     assert _digest(report.epochs) == PINNED["chaos.epochs"]
+
+
+def _lifetime_summary(report):
+    return (
+        report.deaths,
+        report.repair_actions,
+        report.head_service,
+        report.first_partition_epoch,
+        report.router_rebuilds_avoided,
+        report.router_legs_inherited,
+    )
+
+
+def test_balanced_route_flows():
+    """Balanced multipath walks: tie-break trees, Yen detours, reroutes."""
+    topo = random_topology(200, degree=7.0, seed=13)
+    backbone = build_backbone(khop_cluster(topo.graph, 2), "AC-LMST")
+    router = BatchRouter(backbone)
+    routed = router.route_flows(
+        uniform_pairs(200, 800, seed=23, demand=2), balance=True
+    )
+    assert router.last_balance["flows_rerouted"] > 0
+    assert _digest(
+        (routed.walks, routed.head_paths, router.last_balance)
+    ) == PINNED["balance.route_flows"]
+
+
+@pytest.mark.parametrize("scheme", ["energy", "static"])
+def test_balanced_lifetime(scheme):
+    """Balanced routing under congestion, carried across repairs."""
+    topo = random_topology(100, degree=8.0, seed=7)
+    report = simulate_traffic_lifetime(
+        topo.graph,
+        2,
+        make_workload("uniform", 100, 200, seed=7),
+        epochs=30,
+        scheme=scheme,
+        balance=True,
+        radio_budget=50,
+    )
+    assert report.total_deaths > 0
+    assert _digest(report.epochs) == PINNED[
+        f"balance.lifetime.{scheme}.epochs"
+    ]
+    assert _digest(_lifetime_summary(report)) == PINNED[
+        f"balance.lifetime.{scheme}.summary"
+    ]
 
 
 @pytest.mark.parametrize(
