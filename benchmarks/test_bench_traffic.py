@@ -2,7 +2,7 @@
 
 The tentpole claim this benchmark measures: the batch router
 (:class:`~repro.traffic.router.BatchRouter`) — shared head-graph Dijkstra
-trees, per-head-pair walk caches, leg reuse, and bit-packed batched BFS
+trees, one walk cache keyed by head sequence, leg reuse, and bit-packed BFS
 rows — routes >= 10,000 flows over an N=2000 unit-disk backbone **>= 10x**
 faster than looping per-pair :func:`repro.cds.routing.route` calls (which
 rebuild the head graph and re-run Dijkstra for every flow), while

@@ -14,8 +14,8 @@ MMWN).  This module quantifies that on any produced backbone:
 
 The reusable primitive is :class:`HeadRouter`: the head adjacency built
 once per backbone, one cached Dijkstra tree per *source* head (serving
-every destination from that cluster), and a per-head-pair cache of the
-fully expanded gateway walk.  :func:`route` builds one transient router
+every destination from that cluster), and one fully expanded gateway
+walk per head sequence.  :func:`route` builds one transient router
 per call (the scalar, embarrassingly-recomputing form);
 :class:`repro.traffic.router.BatchRouter` shares a single
 :class:`HeadRouter` across thousands of flows — that reuse is the whole
@@ -52,22 +52,80 @@ __all__ = [
 UNREACHABLE_W = float("inf")
 
 
+def _chain(
+    prev: dict[NodeId, NodeId], src: NodeId, dst: NodeId
+) -> tuple[NodeId, ...]:
+    """The head sequence ``src .. dst`` read back along ``prev`` links."""
+    seq = [dst]
+    while seq[-1] != src:
+        seq.append(prev[seq[-1]])
+    return tuple(reversed(seq))
+
+
+def _tree_survives(
+    tree: tuple[dict, dict],
+    gone: list[tuple[tuple[NodeId, NodeId], float]],
+    came: list[tuple[tuple[NodeId, NodeId], float]],
+) -> bool:
+    """Whether a canonical tree is identical on the changed head graph.
+
+    ``gone`` holds every link that disappeared or lengthened (with its
+    old weight), ``came`` every link that appeared or shortened (with its
+    new weight).  See :meth:`HeadRouter.inherit_from` for the argument.
+    """
+    dist, prev = tree
+    for (a, b), w in gone:
+        da, db = dist.get(a), dist.get(b)
+        if da is None or db is None:
+            continue  # neither endpoint on any finite path pair
+        if abs(da - db) != w:
+            continue  # slack: on no shortest path from the root
+        # The link achieved the deeper endpoint's distance; it only
+        # matters if it was the *chosen* predecessor (the settling-order
+        # argmin) — losing a non-chosen achieving candidate changes
+        # neither dist nor prev.
+        deeper, other = (a, b) if da > db else (b, a)
+        if prev.get(deeper) == other:
+            return False
+    for (a, b), w in came:
+        da, db = dist.get(a), dist.get(b)
+        if da is None and db is None:
+            continue  # still mutually unreachable from the root
+        if da is None or db is None:
+            return False  # newly reachable head: tree incomplete
+        if da + w < db or db + w < da:
+            return False  # strict shortcut: distances change
+        # A tie adds an achieving candidate; it flips the deterministic
+        # prev (first-settled = smallest (dist, id)) only if it beats the
+        # stored one.
+        for x, y, dx, dy in ((a, b, da, db), (b, a, db, da)):
+            if dx + w == dy:
+                p = prev.get(y)
+                if p is None or (dx, x) < (dist[p], p):
+                    return False
+    return True
+
+
 class HeadRouter:
     """Cached cluster-routing primitives over one backbone.
 
-    Three layers of reuse, all computed lazily and kept for the router's
+    One kernel per job, each computed lazily and kept for the router's
     lifetime:
 
     * the **head adjacency** over selected virtual links, built once from
       ``result.selected_links`` (the per-call rebuild was the dominant
       cost of looped :func:`route` calls);
-    * one **Dijkstra tree per source head** — distances and predecessors
-      to *every* other head, so all flows leaving one cluster share a
-      single shortest-path computation.  The relaxation discipline is
-      identical to the original early-exit Dijkstra, so reconstructed
-      head sequences match :func:`route`'s historical output exactly;
-    * a **per-head-pair walk cache**: the head sequence expanded through
-      the selected links' stored gateway paths, oriented source -> target.
+    * one **Dijkstra tree per source head** (:meth:`tree`) — distances
+      and predecessors to *every* other head, so all flows leaving one
+      cluster share a single shortest-path computation.  Heads settle in
+      ``(distance, rank)`` order: the canonical tree ranks heads by ID,
+      which reproduces :func:`route`'s historical head sequences exactly;
+      a seeded variant ranks them by a seeded permutation, which picks a
+      different equal-cost route;
+    * one **walk per head sequence** (:meth:`walk_for_seq`): the sequence
+      expanded through the selected links' stored gateway paths,
+      oriented source -> target.  Canonical, tie-break and Yen sequences
+      share this one cache.
     """
 
     def __init__(self, result: BackboneResult) -> None:
@@ -78,19 +136,17 @@ class HeadRouter:
             adj[a].append((w, b))
             adj[b].append((w, a))
         self._adj = adj
-        self._segments: dict[tuple[NodeId, NodeId], tuple[NodeId, ...]] = {}
+        self._ranks: dict[Optional[int], dict[NodeId, int]] = {}
+        # Canonical trees and their head sequences carry across changes
+        # (:meth:`inherit_from`); seeded variant trees and Yen lists
+        # rebuild lazily on demand.
         self._trees: dict[NodeId, tuple[dict, dict]] = {}
         self._head_seqs: dict[tuple[NodeId, NodeId], tuple[NodeId, ...]] = {}
-        self._head_walks: dict[tuple[NodeId, NodeId], tuple[NodeId, ...]] = {}
-        # Multipath layer: seeded tie-break Dijkstra trees, Yen lists and
-        # expanded walks for non-canonical head sequences.  Never inherited
-        # across repairs (conservative: they rebuild lazily on demand).
-        self._alt_ranks: dict[int, dict[NodeId, int]] = {}
-        self._alt_trees: dict[tuple[int, NodeId], tuple[dict, dict]] = {}
+        self._variant_trees: dict[tuple[int, NodeId], tuple[dict, dict]] = {}
         self._kshort: dict[
-            tuple[NodeId, NodeId, int], list[tuple[NodeId, ...]]
+            tuple[NodeId, NodeId, int, float], list[tuple[NodeId, ...]]
         ] = {}
-        self._seq_walks: dict[tuple[NodeId, ...], tuple[NodeId, ...]] = {}
+        self._walks: dict[tuple[NodeId, ...], tuple[NodeId, ...]] = {}
 
     @property
     def result(self) -> BackboneResult:
@@ -106,8 +162,8 @@ class HeadRouter:
         that cannot touch the head-routing layer: a member arrival, where
         ``result`` differs from the current backbone only in its
         ``clustering``.  The virtual graph, selected links, adjacency,
-        Dijkstra trees, head sequences, expanded walks and link segments
-        all remain exact verbatim — no verification, no copying.
+        Dijkstra trees, head sequences and expanded walks all remain
+        exact verbatim — no verification, no copying.
 
         Raises:
             InvalidParameterError: if ``result`` does not share this
@@ -124,11 +180,7 @@ class HeadRouter:
             )
         self._result = result
 
-    def inherit_from(
-        self,
-        old: "HeadRouter",
-        changed_heads: frozenset[NodeId] = frozenset(),
-    ) -> dict[str, int]:
+    def inherit_from(self, old: "HeadRouter") -> dict[str, int]:
         """Seed caches from ``old`` after the backbone was repaired/rebuilt.
 
         The same contract
@@ -137,14 +189,12 @@ class HeadRouter:
         still-valid against the new backbone, everything else rebuilds
         lazily on demand.  Validity is purely structural (the weighted
         head graphs and stored link paths are compared), so the one
-        method serves node removals, arrivals and mobility edge deltas
-        alike.
+        method serves node removals, arrivals, reclusters and mobility
+        edge deltas alike.
 
-        * **link segments** carry over for links that are still selected
-          with an identical stored gateway path;
-        * a **Dijkstra tree** rooted at a surviving head ``h`` carries
-          over iff no changed link could alter its distances *or its
-          tie-breaking*.  The heapq Dijkstra settles nodes in
+        * a canonical **Dijkstra tree** rooted at a surviving head ``h``
+          carries over iff no changed link could alter its distances *or
+          its tie-breaking*.  The heapq Dijkstra settles nodes in
           deterministic ``(distance, id)`` order, so ``prev[v]`` is the
           achieving neighbor minimizing ``(dist, id)`` — a pure function
           of the metric and the candidate sets.  Hence a
@@ -155,28 +205,22 @@ class HeadRouter:
           (tree incomplete), or ties while beating the stored
           predecessor in ``(dist, id)`` order (prev would flip).  A
           carried tree is therefore *identical* to what a fresh run
-          would build, so walks derived from it stay canonical;
+          would build;
         * **head sequences** are prev-chain reconstructions, so every
           sequence of a carried tree carries with it;
-        * **expanded walks** additionally embed gateway paths, so each
-          carries over only when every link along its head sequence kept
-          its stored path.
+        * an **expanded walk** is a pure function of its head sequence
+          and the stored paths of the links along it, so it carries iff
+          every link of its sequence is still selected with an identical
+          stored path, whichever tree the sequence came from.
 
-        ``changed_heads`` (e.g. :attr:`RepairOutcome.scope_heads`) is an
-        extra conservative mask: trees rooted at — and sequences/walks
-        touching — a changed head are never inherited, even when the
-        structural comparison finds no difference.
-
-        Returns a counter dict (``trees`` / ``head_seqs`` / ``head_walks``
-        / ``segments`` / ``head_graph_unchanged``) for maintenance
-        reporting.
+        Seeded variant trees and Yen lists never carry.  Returns a
+        counter dict (``trees`` / ``head_seqs`` / ``head_walks`` /
+        ``head_graph_unchanged``) for maintenance reporting.
         """
-        changed = {int(h) for h in changed_heads}
         stats = {
             "trees": 0,
             "head_seqs": 0,
             "head_walks": 0,
-            "segments": 0,
             "head_graph_unchanged": 0,
         }
         new_vg = self._result.virtual_graph
@@ -195,11 +239,6 @@ class HeadRouter:
             }
             new_w = {ab: new_vg.link(*ab).weight for ab in new_links}
             old_w = {ab: old_vg.link(*ab).weight for ab in old_links}
-        for key, seg in old._segments.items():
-            ab = key if key[0] < key[1] else (key[1], key[0])
-            if ab in same_path and key not in self._segments:
-                self._segments[key] = seg
-                stats["segments"] += 1
         # Link events relative to the old trees' metric.
         gone = [
             (ab, old_w[ab])
@@ -213,98 +252,79 @@ class HeadRouter:
         ]
         if not gone and not came:
             stats["head_graph_unchanged"] = 1
-        inherited_trees = set()
+        carried = set()
         for h, tree in old._trees.items():
-            if h in changed or h not in self._adj:
-                continue
-            dist, prev = tree
-            ok = True
-            for (a, b), w in gone:
-                da, db = dist.get(a), dist.get(b)
-                if da is None or db is None:
-                    continue  # neither endpoint on any finite path pair
-                if abs(da - db) != w:
-                    continue  # slack: on no shortest path from h
-                # The link achieved the deeper endpoint's distance; it
-                # only matters if it was the *chosen* predecessor (the
-                # settling-order argmin) — losing a non-chosen achieving
-                # candidate changes neither dist nor prev.
-                deeper, other = (a, b) if da > db else (b, a)
-                if prev.get(deeper) == other:
-                    ok = False
-                    break
-            if ok:
-                for (a, b), w in came:
-                    da, db = dist.get(a), dist.get(b)
-                    if da is None and db is None:
-                        continue  # still mutually unreachable from h
-                    if da is None or db is None:
-                        ok = False  # newly reachable head: tree incomplete
-                        break
-                    if da + w < db or db + w < da:
-                        ok = False  # strict shortcut: distances change
-                        break
-                    # A tie adds an achieving candidate; it flips the
-                    # deterministic prev (first-settled = smallest
-                    # (dist, id)) only if it beats the stored one.
-                    for x, y, dx, dy in ((a, b, da, db), (b, a, db, da)):
-                        if dx + w == dy:
-                            p = prev.get(y)
-                            if p is None or (dx, x) < (dist[p], p):
-                                ok = False
-                                break
-                    if not ok:
-                        break
-            if ok:
+            if h in self._adj and _tree_survives(tree, gone, came):
                 self._trees[h] = tree
-                inherited_trees.add(h)
-                stats["trees"] += 1
-        changed_links = (
-            set(old_links) - same_path | {ab for ab, _ in came}
-        )
+                carried.add(h)
+        stats["trees"] = len(carried)
         for key, seq in old._head_seqs.items():
-            if key[0] not in inherited_trees:
-                continue
-            if changed and not changed.isdisjoint(seq):
-                continue
-            self._head_seqs[key] = seq
-            stats["head_seqs"] += 1
-        for key, walk in old._head_walks.items():
-            if key[0] not in inherited_trees:
-                continue
-            seq = old._head_seqs.get(key)
-            if seq is None:
-                continue
-            if changed and not changed.isdisjoint(seq):
-                continue
-            if changed_links and any(
-                ((a, b) if a < b else (b, a)) in changed_links
+            if key[0] in carried:
+                self._head_seqs[key] = seq
+                stats["head_seqs"] += 1
+        for seq, walk in old._walks.items():
+            if all(
+                ((a, b) if a < b else (b, a)) in same_path
                 for a, b in zip(seq, seq[1:])
             ):
-                continue
-            self._head_walks[key] = walk
-            stats["head_walks"] += 1
+                self._walks[seq] = walk
+                stats["head_walks"] += 1
         return stats
 
-    def tree(self, src_head: NodeId) -> tuple[dict, dict]:
-        """The full Dijkstra ``(dist, prev)`` maps rooted at ``src_head``."""
-        cached = self._trees.get(src_head)
+    # -- the tree kernel and what reads it ------------------------------ #
+
+    def _rank(self, variant: Optional[int]) -> dict[NodeId, int]:
+        """The tie-break rank over heads: ID order, or a seeded permutation."""
+        ranks = self._ranks.get(variant)
+        if ranks is None:
+            if variant is None:
+                ranks = {h: h for h in self._adj}
+            else:
+                heads = sorted(self._adj)
+                perm = np.random.default_rng(variant).permutation(len(heads))
+                ranks = {h: int(r) for h, r in zip(heads, perm.tolist())}
+            self._ranks[variant] = ranks
+        return ranks
+
+    def tree(
+        self, src_head: NodeId, variant: Optional[int] = None
+    ) -> tuple[dict, dict]:
+        """The full Dijkstra ``(dist, prev)`` maps rooted at ``src_head``.
+
+        Heads at equal distance settle in :meth:`_rank` order, and the
+        first settled achiever of a head's distance becomes its ``prev``.
+        ``variant=None`` is the canonical tree (ID order).  A seeded
+        ``variant`` has identical distances but, among equal-cost
+        predecessors, a different one may win ``prev`` — every variant
+        yields shortest head sequences of the *same* weight along
+        *different* equal-cost routes.  One tree per ``(variant,
+        src_head)`` serves every destination, so the cost amortizes
+        across all flows leaving one cluster.
+        """
+        if variant is None:
+            cache, key = self._trees, src_head
+        else:
+            cache, key = self._variant_trees, (variant, src_head)
+        cached = cache.get(key)
         if cached is not None:
             return cached
+        rank = self._rank(variant)
+        adj = self._adj
+        inf = float("inf")
         dist = {src_head: 0}
         prev: dict[NodeId, NodeId] = {}
-        pq = [(0, src_head)]
+        pq = [(0, rank[src_head], src_head)]
         while pq:
-            d, u = heapq.heappop(pq)
-            if d > dist.get(u, float("inf")):
+            d, _, u = heapq.heappop(pq)
+            if d > dist[u]:
                 continue
-            for w, v in self._adj[u]:
+            for w, v in adj[u]:
                 nd = d + w
-                if nd < dist.get(v, float("inf")):
+                if nd < dist.get(v, inf):
                     dist[v] = nd
                     prev[v] = u
-                    heapq.heappush(pq, (nd, v))
-        self._trees[src_head] = (dist, prev)
+                    heapq.heappush(pq, (nd, rank[v], v))
+        cache[key] = (dist, prev)
         return dist, prev
 
     def head_sequence(
@@ -312,162 +332,76 @@ class HeadRouter:
     ) -> tuple[NodeId, ...]:
         """Shortest head sequence over selected virtual links (cached).
 
-        Sequences are memoized per ordered pair along the Dijkstra tree's
-        predecessor chains, so filling all pairs from one source costs
-        O(total sequence length), not O(pairs · length).
+        Read back along the canonical tree's predecessor chain and
+        memoized per ordered pair.
 
         Raises:
             ValidationError: if the selected links do not connect the two
                 heads (a broken backbone).
         """
-        return self._seq(src_head, dst_head)
-
-    def _seq(self, src_head: NodeId, dst_head: NodeId) -> tuple[NodeId, ...]:
-        if src_head == dst_head:
-            return (src_head,)
         key = (src_head, dst_head)
-        cached = self._head_seqs.get(key)
-        if cached is not None:
-            return cached
-        _, prev = self.tree(src_head)
-        if dst_head not in prev:
-            raise ValidationError(
-                f"backbone does not connect heads {src_head} and {dst_head}"
-            )
-        # Walk back only as far as the first already-memoized prefix.
-        suffix = [dst_head]
-        cur = dst_head
-        prefix: tuple[NodeId, ...] | None = None
-        while True:
-            cur = prev[cur]
-            if cur == src_head:
-                prefix = (src_head,)
-                break
-            prefix = self._head_seqs.get((src_head, cur))
-            if prefix is not None:
-                break
-            suffix.append(cur)
-        for i in range(len(suffix) - 1, -1, -1):
-            prefix = prefix + (suffix[i],)
-            self._head_seqs[(src_head, suffix[i])] = prefix
-        return prefix
-
-    def head_walk(self, src_head: NodeId, dst_head: NodeId) -> tuple[NodeId, ...]:
-        """The expanded backbone walk ``src_head .. dst_head`` (cached).
-
-        Adjacent heads of the sequence are joined by the selected link's
-        stored gateway path, oriented in walk direction; walks are built
-        incrementally from the memoized walk to the predecessor head, so
-        filling all pairs from one source is O(total walk length).
-        """
-        if src_head == dst_head:
-            return (src_head,)
-        cached = self._head_walks.get((src_head, dst_head))
-        if cached is not None:
-            return cached
-        seq = self._seq(src_head, dst_head)
-        walks = self._head_walks
-        walk = self._segment(seq[0], seq[1])
-        walks.setdefault((src_head, seq[1]), walk)
-        for i in range(2, len(seq)):
-            key = (src_head, seq[i])
-            nxt = walks.get(key)
-            if nxt is None:
-                nxt = walk + self._segment(seq[i - 1], seq[i])[1:]
-                walks[key] = nxt
-            walk = nxt
-        return walk
-
-    def _segment(self, a: NodeId, b: NodeId) -> tuple[NodeId, ...]:
-        """The selected ``a``-``b`` link's gateway path, oriented a -> b."""
-        seg = self._segments.get((a, b))
-        if seg is None:
-            path = self._result.virtual_graph.link(
-                *((a, b) if a < b else (b, a))
-            ).path
-            seg = path if path[0] == a else tuple(reversed(path))
-            self._segments[(a, b)] = seg
-        return seg
-
-    # -- multipath: equal-cost variants and k-shortest head walks ------- #
-
-    def link_weight(self, a: NodeId, b: NodeId) -> int:
-        """Weight (physical hop count) of the selected virtual link a-b."""
-        return self._result.virtual_graph.link(
-            *((a, b) if a < b else (b, a))
-        ).weight
-
-    def seq_weight(self, seq: tuple[NodeId, ...]) -> int:
-        """Total physical hop count of a head sequence over selected links."""
-        return sum(self.link_weight(a, b) for a, b in zip(seq, seq[1:]))
-
-    def _rank(self, variant: int) -> dict[NodeId, int]:
-        """A seeded permutation rank over heads (the tie-break order)."""
-        ranks = self._alt_ranks.get(variant)
-        if ranks is None:
-            heads = sorted(self._adj)
-            perm = np.random.default_rng(variant).permutation(len(heads))
-            ranks = {h: int(r) for h, r in zip(heads, perm.tolist())}
-            self._alt_ranks[variant] = ranks
-        return ranks
-
-    def alt_tree(
-        self, src_head: NodeId, variant: int
-    ) -> tuple[dict, dict]:
-        """A Dijkstra tree with *seeded* tie-breaking (cached per variant).
-
-        Identical distances to :meth:`tree`, but nodes at equal distance
-        settle in a seeded-permutation order instead of ascending ID, so
-        among equal-cost predecessors a different one wins ``prev`` —
-        every variant yields shortest head sequences of the *same* weight
-        along *different* equal-cost routes.  One tree per
-        ``(variant, src_head)`` serves every destination, so the cost
-        amortizes across all flows leaving one cluster.
-        """
-        key = (variant, src_head)
-        cached = self._alt_trees.get(key)
-        if cached is not None:
-            return cached
-        rank = self._rank(variant)
-        dist = {src_head: 0}
-        prev: dict[NodeId, NodeId] = {}
-        pq = [(0, rank[src_head], src_head)]
-        while pq:
-            d, _, u = heapq.heappop(pq)
-            if d > dist.get(u, float("inf")):
-                continue
-            for w, v in self._adj[u]:
-                nd = d + w
-                if nd < dist.get(v, float("inf")):
-                    dist[v] = nd
-                    prev[v] = u
-                    heapq.heappush(pq, (nd, rank[v], v))
-        self._alt_trees[key] = (dist, prev)
-        return dist, prev
+        seq = self._head_seqs.get(key)
+        if seq is None:
+            seq = self.alt_sequence(src_head, dst_head, None)
+            self._head_seqs[key] = seq
+        return seq
 
     def alt_sequence(
-        self, src_head: NodeId, dst_head: NodeId, variant: int
+        self, src_head: NodeId, dst_head: NodeId, variant: Optional[int]
     ) -> tuple[NodeId, ...]:
-        """A shortest head sequence under variant ``variant`` tie-breaking.
+        """A shortest head sequence under ``variant``'s tie-breaking.
 
-        Same weight as :meth:`head_sequence`'s canonical answer, possibly
-        a different equal-cost route.
+        Same weight as :meth:`head_sequence`'s canonical answer (which is
+        ``variant=None``), possibly a different equal-cost route.
 
         Raises:
             ValidationError: if the selected links do not connect the pair.
         """
         if src_head == dst_head:
             return (src_head,)
-        dist, prev = self.alt_tree(src_head, variant)
+        _, prev = self.tree(src_head, variant)
         if dst_head not in prev:
             raise ValidationError(
                 f"backbone does not connect heads {src_head} and {dst_head}"
             )
-        del dist
-        seq = [dst_head]
-        while seq[-1] != src_head:
-            seq.append(prev[seq[-1]])
-        return tuple(reversed(seq))
+        return _chain(prev, src_head, dst_head)
+
+    def _segment(self, a: NodeId, b: NodeId) -> tuple[NodeId, ...]:
+        """The selected ``a``-``b`` link's gateway path, oriented a -> b."""
+        path = self._result.virtual_graph.link(a, b).path
+        return path if path[0] == a else path[::-1]
+
+    def walk_for_seq(self, seq: tuple[NodeId, ...]) -> tuple[NodeId, ...]:
+        """The expanded backbone walk along a head sequence (cached).
+
+        Adjacent heads join through the selected links' stored gateway
+        paths, oriented in walk direction.  Results are memoized per
+        sequence, so every flow (and every balance candidate) taking the
+        same sequence shares one walk.
+
+        Raises:
+            KeyError: if consecutive heads are not joined by a virtual
+                link (via the virtual graph's link lookup).
+        """
+        if len(seq) < 2:
+            return seq
+        walk = self._walks.get(seq)
+        if walk is None:
+            nodes = list(self._segment(seq[0], seq[1]))
+            for a, b in zip(seq[1:], seq[2:]):
+                nodes.extend(self._segment(a, b)[1:])
+            walk = self._walks[seq] = tuple(nodes)
+        return walk
+
+    # -- multipath: k-shortest head sequences --------------------------- #
+
+    def link_weight(self, a: NodeId, b: NodeId) -> int:
+        """Weight (physical hop count) of the selected virtual link a-b."""
+        return self._result.virtual_graph.link(a, b).weight
+
+    def seq_weight(self, seq: tuple[NodeId, ...]) -> int:
+        """Total physical hop count of a head sequence over selected links."""
+        return sum(self.link_weight(a, b) for a, b in zip(seq, seq[1:]))
 
     def _spur(
         self,
@@ -507,10 +441,7 @@ class HeadRouter:
                     heapq.heappush(pq, (nd, v))
         if dst not in dist:
             return None
-        seq = [dst]
-        while seq[-1] != src:
-            seq.append(prev[seq[-1]])
-        return tuple(reversed(seq))
+        return _chain(prev, src, dst)
 
     def k_shortest_sequences(
         self,
@@ -544,7 +475,7 @@ class HeadRouter:
             found = [(src_head,)]
             self._kshort[key] = found
             return list(found)
-        first = self._seq(src_head, dst_head)
+        first = self.head_sequence(src_head, dst_head)
         found = [first]
         seen = {first}
         candidates: list[tuple[int, tuple[NodeId, ...]]] = []
@@ -581,29 +512,6 @@ class HeadRouter:
         self._kshort[key] = found
         return list(found)
 
-    def walk_for_seq(self, seq: tuple[NodeId, ...]) -> tuple[NodeId, ...]:
-        """The expanded backbone walk along an explicit head sequence.
-
-        The multipath counterpart of :meth:`head_walk`: adjacent heads
-        join through the selected links' stored gateway paths, oriented
-        in walk direction; results are memoized per sequence so balanced
-        batches expand each candidate once.
-
-        Raises:
-            InvalidParameterError: if consecutive heads are not joined by
-                a selected link (via the virtual graph's link lookup).
-        """
-        if len(seq) < 2:
-            return seq
-        cached = self._seq_walks.get(seq)
-        if cached is None:
-            walk = list(self._segment(seq[0], seq[1]))
-            for i in range(2, len(seq)):
-                walk.extend(self._segment(seq[i - 1], seq[i])[1:])
-            cached = tuple(walk)
-            self._seq_walks[seq] = cached
-        return cached
-
     def walk(
         self, oracle: PathOracle, source: NodeId, target: NodeId
     ) -> tuple[NodeId, ...]:
@@ -624,7 +532,7 @@ class HeadRouter:
         if hs == ht:
             return oracle.path(source, target)
         walk: list[NodeId] = list(oracle.path(source, hs))
-        walk.extend(self.head_walk(hs, ht)[1:])
+        walk.extend(self.walk_for_seq(self.head_sequence(hs, ht))[1:])
         walk.extend(oracle.path(ht, target)[1:])
         return tuple(walk)
 

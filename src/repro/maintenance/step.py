@@ -35,16 +35,15 @@ def carry_repair(
 ) -> tuple["BatchRouter", dict[str, int]]:
     """A router for ``outcome.backbone`` seeded from ``router``'s caches.
 
-    A spliced repair (member fast path, gateway splice) keeps the link
-    set and weights, so the per-tree certificates decide alone; a rebuilt
-    backbone also masks the repair's ``scope_heads``.  Returns the new
-    router and its inheritance counters.
+    Spliced and rebuilt backbones carry the same way: the head router's
+    structural certificates keep exactly the trees, sequences and walks a
+    cold router would recompute identically.  Returns the new router and
+    its inheritance counters.
     """
     from ..traffic.router import BatchRouter
 
     router2 = BatchRouter(outcome.backbone)
-    changed = frozenset() if outcome.spliced else outcome.scope_heads
-    stats = router2.inherit_edge_delta(router, (outcome.failed_node,), changed)
+    stats = router2.inherit_edge_delta(router, (outcome.failed_node,))
     publish_counters("router.inherit", stats)
     return router2, stats
 

@@ -24,7 +24,9 @@ A truncated *last* line in the event log (the classic
 killed-mid-append) is tolerated: :func:`read_events` drops it, which is
 exactly right — an event that never finished reaching the log was never
 applied either.  Any other unreadable line is corruption and raises
-:class:`~repro.errors.InvalidParameterError` naming the file and line.
+:class:`~repro.errors.InvalidParameterError` naming the file and line;
+so does a byte that is not UTF-8 on any line, the last included, since
+the log is ASCII JSON and a cut-off append never leaves one.
 """
 
 from __future__ import annotations
@@ -91,14 +93,20 @@ def read_events(directory: Union[str, Path]) -> list[ServiceEvent]:
 
     Raises :class:`~repro.errors.InvalidParameterError` naming the file
     and line for an earlier line that is not JSON, or for any line that
-    is not an event record.
+    is not UTF-8 or not an event record.
     """
     path = Path(directory) / EVENT_LOG_NAME
     if not path.exists():
         return []
     events: list[ServiceEvent] = []
-    lines = path.read_text(encoding="utf-8").split("\n")
-    for i, line in enumerate(lines):
+    lines = path.read_bytes().split(b"\n")
+    for i, raw in enumerate(lines):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise InvalidParameterError(
+                f"{path} line {i + 1}: not UTF-8 ({exc.reason})"
+            ) from exc
         if not line.strip():
             continue
         try:
@@ -167,10 +175,11 @@ def latest_checkpoint(
     """Load the newest *valid* snapshot as ``(seq, record)``.
 
     Scans for ``checkpoint-*.json`` names in descending cursor order and
-    returns the first that parses and carries the expected schema tag;
-    corrupt or foreign files are skipped, orphaned temp files never
-    match the name pattern at all.  Returns None when no valid snapshot
-    exists (fresh directory — the caller starts from the log alone).
+    returns the first that parses (UTF-8 JSON holding an object) and
+    carries the expected schema tag; corrupt or foreign files are
+    skipped, orphaned temp files never match the name pattern at all.
+    Returns None when no valid snapshot exists (fresh directory — the
+    caller starts from the log alone).
     """
     directory = Path(directory)
     if not directory.is_dir():
@@ -186,7 +195,9 @@ def latest_checkpoint(
     for seq, path in candidates:
         try:
             record = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
+        except (OSError, ValueError):  # JSON and UTF-8 decode errors
+            continue
+        if not isinstance(record, dict):
             continue
         if record.get("schema") != CHECKPOINT_SCHEMA:
             continue

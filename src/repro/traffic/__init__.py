@@ -6,8 +6,8 @@ star: "heavy traffic from millions of users"):
 * :mod:`~repro.traffic.workloads` — seeded flow-batch generators
   (uniform, CBR, hotspot convergecast, gossip);
 * :mod:`~repro.traffic.router` — the vectorized batch router
-  (:class:`BatchRouter`) sharing Dijkstra trees, head walks, legs and
-  bit-packed BFS sweeps across thousands of flows;
+  (:class:`BatchRouter`) sharing Dijkstra trees, one walk per head
+  sequence, legs and bit-packed BFS sweeps across thousands of flows;
 * :mod:`~repro.traffic.load` — per-node forwarding load, virtual-link
   utilization, stretch/congestion/fairness accounting;
 * :mod:`~repro.traffic.congestion` — per-link service capacities derived

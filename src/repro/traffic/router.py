@@ -6,7 +6,7 @@ sharing everything that is shareable:
 
 * one :class:`~repro.cds.routing.HeadRouter` per backbone — the head
   adjacency built once, one Dijkstra tree per source head, one expanded
-  walk per head pair;
+  walk per head sequence;
 * member->head **legs** resolved once per distinct (member, head) pair
   and reused across every flow that enters or leaves that cluster;
 * the BFS rows behind canonical-path construction requested in
@@ -24,8 +24,8 @@ what the load accounting (:mod:`repro.traffic.load`) needs.
 
 Under churn, motion and growth, a changed backbone no longer forces a
 cold router: :meth:`BatchRouter.inherit_edge_delta` carries the previous
-router's Dijkstra trees, memoized head sequences/walks, link segments and
-resolved member<->head legs across any edge delta — a failure, a
+router's Dijkstra trees, memoized head sequences and walks, and resolved
+member<->head legs across any edge delta — a failure, a
 snapshot or an arrival — under the same validity-checked contract
 :meth:`LazyDistanceOracle.inherit_edge_delta` implements for rows and
 balls, so the traffic-driven loops pay for a change only in proportion to
@@ -189,10 +189,7 @@ class BatchRouter:
         return self._oracle
 
     def inherit_edge_delta(
-        self,
-        old: "BatchRouter",
-        touched: Iterable[NodeId] = (),
-        changed_heads: frozenset[NodeId] = frozenset(),
+        self, old: "BatchRouter", touched: Iterable[NodeId] = ()
     ) -> dict[str, int]:
         """Carry ``old``'s caches across any structural change.
 
@@ -201,10 +198,9 @@ class BatchRouter:
         node after a failure, the snapshot endpoints after a mobility
         delta (their union when snapshots were composed), nothing after
         a pure arrival (new nodes are implied).  The head-graph state
-        (Dijkstra trees, head sequences, expanded walks, link segments)
-        inherits through the structural per-tree certificates of
-        :meth:`~repro.cds.routing.HeadRouter.inherit_from`, with
-        ``changed_heads`` as its extra conservative mask; resolved
+        (Dijkstra trees, head sequences, expanded walks) inherits through
+        the structural certificates of
+        :meth:`~repro.cds.routing.HeadRouter.inherit_from`; resolved
         member<->head legs inherit through
         :meth:`~repro.net.paths.PathOracle.inherit_edge_delta` — unless
         this router's oracle is ``old``'s, or was already seeded by an
@@ -216,7 +212,7 @@ class BatchRouter:
         when the whole head-routing layer survived (a full router rebuild
         avoided).
         """
-        stats = self._router.inherit_from(old._router, changed_heads)
+        stats = self._router.inherit_from(old._router)
         if self._oracle is old._oracle or self._oracle.paths_inherited:
             stats["legs"] = 0
         else:
@@ -233,7 +229,7 @@ class BatchRouter:
         A member join leaves the CDS stage untouched: ``result`` is the
         served backbone with only ``clustering`` replaced, so the whole
         head-routing layer (Dijkstra trees, head sequences, expanded
-        walks, link segments) stays exact verbatim via
+        walks) stays exact verbatim via
         :meth:`~repro.cds.routing.HeadRouter.rebind` — no verification,
         no copying.  ``oracle`` is the grown graph's resolved-leg oracle
         (typically fresh: legs re-resolve canonically on demand, which
@@ -401,14 +397,9 @@ class BatchRouter:
                 walks.append(leg(s, t))
                 head_paths.append(())
                 continue
-            if seq_of is None:
-                seq = router.head_sequence(a, b)
-                backbone = router.head_walk(a, b)
-            else:
-                seq = seq_of[i]
-                backbone = router.walk_for_seq(seq)
+            seq = router.head_sequence(a, b) if seq_of is None else seq_of[i]
             walk = list(leg(s, a))
-            walk.extend(backbone[1:])
+            walk.extend(router.walk_for_seq(seq)[1:])
             walk.extend(leg(b, t)[1:])
             walks.append(tuple(walk))
             head_paths.append(seq)

@@ -62,6 +62,18 @@ class TestEventLog:
         ):
             read_events(tmp_path)
 
+    def test_non_utf8_tail_raises(self, tmp_path):
+        """The log is ASCII JSON: a bad byte is corruption, never a torn tail."""
+        for ev in _events(3):
+            append_event(tmp_path, ev)
+        path = tmp_path / EVENT_LOG_NAME
+        data = path.read_bytes()
+        path.write_bytes(data[:-4] + b"\xff" + data[-3:])
+        with pytest.raises(
+            InvalidParameterError, match=r"events\.jsonl line 3: not UTF-8"
+        ):
+            read_events(tmp_path)
+
     def test_no_fsync_still_consistent(self, tmp_path):
         for ev in _events(3):
             append_event(tmp_path, ev, fsync=False)
@@ -87,6 +99,16 @@ class TestCheckpoints:
         checkpoint_path(tmp_path, 9).write_text("{ not json")
         seq, record = latest_checkpoint(tmp_path)
         assert seq == 5 and record["state"] == {"x": 1}
+
+    def test_non_utf8_newest_skipped(self, tmp_path):
+        write_checkpoint(tmp_path, 5, {"x": 1})
+        checkpoint_path(tmp_path, 9).write_bytes(b'{"schema": "\xff"}')
+        assert latest_checkpoint(tmp_path)[0] == 5
+
+    def test_non_object_newest_skipped(self, tmp_path):
+        write_checkpoint(tmp_path, 5, {"x": 1})
+        checkpoint_path(tmp_path, 9).write_text("[1, 2]")
+        assert latest_checkpoint(tmp_path)[0] == 5
 
     def test_foreign_schema_skipped(self, tmp_path):
         write_checkpoint(tmp_path, 3, {"x": 1})

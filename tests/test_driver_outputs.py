@@ -37,7 +37,7 @@ from repro.traffic.workloads import make_workload, uniform_pairs
 #: They were re-recorded again when the oracle stopped keeping partial
 #: rows: the always-0 ``rows_partial_inherited`` left the digested tuple
 #: (it read 94 skip, 64 degraded) and every other member is unchanged.
-#: The three ``balance.*`` pins were recorded before the head router's
+#: The five ``balance.*`` pins were recorded before the head router's
 #: caches were merged into one sequence-keyed walk cache.
 PINNED = {
     "service.counts": "6262a39e",

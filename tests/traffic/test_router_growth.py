@@ -53,7 +53,7 @@ class TestRouterNodeAddInheritance:
         assert stats["head_graph_unchanged"] == 1
         assert stats["trees"] == len(router.router._trees)
         assert stats["head_seqs"] == len(router.router._head_seqs)
-        assert stats["head_walks"] == len(router.router._head_walks)
+        assert stats["head_walks"] == len(router.router._walks)
         assert stats["legs"] == new_paths.paths_inherited
 
     def test_inherited_walks_identical_to_fresh(self):
