@@ -90,6 +90,37 @@ class TestMain:
         out = capsys.readouterr().out
         assert "packet-hops" in out and "CDS share" in out
 
+    @pytest.mark.parametrize(
+        "argv, pin",
+        [
+            ("traffic --n 300 --flows 500 --seed 7", (484, "7e3b880c")),
+            (
+                "traffic --n 300 --flows 500 --seed 7 --balance "
+                "--radio-budget 50 --lifetime-epochs 10",
+                (986, "ea3f5d89"),
+            ),
+            ("mobility --n 400 --snapshots 10 --seed 7", (1018, "4de9c2de")),
+            (
+                "mobility --n 200 --snapshots 4 --seed 3 --engine rebuild",
+                (595, "c1d4eadd"),
+            ),
+            ("chaos --seed 7 --events 100 --join-weight 0.2", (171, "588fdd1d")),
+            ("serve --n 150 --events 300 --seed 7", (1706, "2e37a8ff")),
+        ],
+    )
+    def test_command_stdout_pinned(self, capsys, argv, pin):
+        """The stdout of each simulation command, byte for byte.
+
+        Covers the commands the CI and the Makefile drive with explicit
+        flags (the balanced run adds tie-break trees, Yen detours,
+        congestion and lifetime carries; the serve run ends at
+        fingerprint ``a72cb732``), so a change to an option's default,
+        its parsing or a report's rendering moves the digest.
+        """
+        assert main(argv.split()) == 0
+        out = capsys.readouterr().out.encode()
+        assert (len(out), f"{zlib.crc32(out):08x}") == pin
+
 
 class TestChaosCommand:
     def test_chaos_options(self):
