@@ -21,12 +21,49 @@ import argparse
 import os
 import sys
 import zlib
-from typing import Optional, Sequence
+from types import ModuleType
+from typing import Any, Callable, Optional, Sequence
 
+from . import obs
+from .errors import LintError
+from .faults import render_chaos, run_chaos
 from .figures import ablations, claims, figure4, figure5, figure6, figure7, overhead
 from .net.oracle import BACKENDS
+from .net.topology import random_topology
+from .service import ServiceConfig, run_service
+from .traffic.mobile import render_mobile, simulate_mobile_traffic
+from .traffic.report import render_traffic, run_traffic
+from .traffic.workloads import WORKLOADS, make_workload
 
 __all__ = ["main", "build_parser"]
+
+_TRACE_HELP = (
+    "enable the observability layer and write a JSONL trace "
+    "(manifest + span tree + metrics snapshot) to PATH"
+)
+
+
+def _add_instance_options(
+    p: argparse.ArgumentParser,
+    *,
+    n: int,
+    degree: float = 8.0,
+    k: int = 2,
+    algorithm: Optional[str] = "AC-LMST",
+    seed: int = 7,
+) -> None:
+    """The unit-disk instance: ``--n``, ``--degree``, ``--k``,
+    ``--algorithm`` (left out when ``algorithm`` is None) and ``--seed``."""
+    p.add_argument("--n", type=int, default=n)
+    p.add_argument("--degree", type=float, default=degree)
+    p.add_argument("--k", type=int, default=k)
+    if algorithm is not None:
+        p.add_argument("--algorithm", default=algorithm)
+    p.add_argument("--seed", type=int, default=seed)
+
+
+def _add_trace_option(p: argparse.ArgumentParser, help: str = _TRACE_HELP) -> None:
+    p.add_argument("--trace", default=None, metavar="PATH", help=help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -47,25 +84,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p4 = sub.add_parser("figure4", help="single-instance gateway gallery")
-    p4.add_argument("--n", type=int, default=100)
-    p4.add_argument("--degree", type=float, default=6.0)
-    p4.add_argument("--k", type=int, default=2)
-    p4.add_argument("--seed", type=int, default=4)
+    _add_instance_options(p4, n=100, degree=6.0, algorithm=None, seed=4)
 
+    # The option names are run_traffic's keywords (``traffic`` and
+    # ``stats`` pass their parsed options through unchanged).
     pt = sub.add_parser(
         "traffic", help="batch-route a flow workload over the backbone"
     )
-    pt.add_argument("--n", type=int, default=400)
-    pt.add_argument("--degree", type=float, default=8.0)
-    pt.add_argument("--k", type=int, default=2)
-    pt.add_argument("--algorithm", default="AC-LMST")
-    pt.add_argument(
-        "--workload",
-        default="uniform",
-        choices=("uniform", "cbr", "hotspot", "gossip"),
-    )
+    _add_instance_options(pt, n=400)
+    pt.add_argument("--workload", default="uniform", choices=tuple(WORKLOADS))
     pt.add_argument("--flows", type=int, default=5000)
-    pt.add_argument("--seed", type=int, default=7)
     pt.add_argument(
         "--lifetime-epochs",
         type=int,
@@ -93,27 +121,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-radio packet budget; derives per-link capacities from "
         "the backbone and reports congestion drops against them",
     )
-    pt.add_argument(
-        "--trace",
-        default=None,
-        metavar="PATH",
-        help="enable the observability layer and write a JSONL trace "
-        "(manifest + span tree + metrics snapshot) to PATH",
-    )
+    _add_trace_option(pt)
 
     pm = sub.add_parser(
         "mobility",
         help="route a workload over RandomWaypoint snapshots (edge-delta engine)",
     )
-    pm.add_argument("--n", type=int, default=400)
-    pm.add_argument("--degree", type=float, default=8.0)
-    pm.add_argument("--k", type=int, default=2)
-    pm.add_argument("--algorithm", default="AC-LMST")
-    pm.add_argument(
-        "--workload",
-        default="uniform",
-        choices=("uniform", "cbr", "hotspot", "gossip"),
-    )
+    _add_instance_options(pm, n=400)
+    pm.add_argument("--workload", default="uniform", choices=tuple(WORKLOADS))
     pm.add_argument("--flows", type=int, default=2000)
     pm.add_argument("--snapshots", type=int, default=20)
     pm.add_argument(
@@ -124,30 +139,20 @@ def build_parser() -> argparse.ArgumentParser:
         metavar=("VMIN", "VMAX"),
         help="random-waypoint speed range, units per step",
     )
-    pm.add_argument("--seed", type=int, default=7)
     pm.add_argument(
         "--engine",
         default="delta",
         choices=("delta", "rebuild"),
         help="incremental edge-delta maintenance vs from-scratch baseline",
     )
-    pm.add_argument(
-        "--trace",
-        default=None,
-        metavar="PATH",
-        help="enable the observability layer and write a JSONL trace to PATH",
-    )
+    _add_trace_option(pm)
 
     pc = sub.add_parser(
         "chaos",
         help="seeded fault-injection campaign with per-batch invariant checks",
     )
-    pc.add_argument("--seed", type=int, default=7)
+    _add_instance_options(pc, n=120)
     pc.add_argument("--events", type=int, default=500)
-    pc.add_argument("--n", type=int, default=120)
-    pc.add_argument("--degree", type=float, default=8.0)
-    pc.add_argument("--k", type=int, default=2)
-    pc.add_argument("--algorithm", default="AC-LMST")
     pc.add_argument("--flows", type=int, default=200)
     pc.add_argument(
         "--join-weight",
@@ -161,12 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="collect every violation instead of stopping at the first",
     )
-    pc.add_argument(
-        "--trace",
-        default=None,
-        metavar="PATH",
-        help="enable the observability layer and write a JSONL trace to PATH "
-        "(violation repro lines then carry the same flag)",
+    _add_trace_option(
+        pc, _TRACE_HELP + " (violation repro lines then carry the same flag)"
     )
 
     ps = sub.add_parser(
@@ -174,39 +175,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a quick instrumented traffic experiment and print the "
         "metrics registry + span flame summary",
     )
-    ps.add_argument("--n", type=int, default=400)
-    ps.add_argument("--degree", type=float, default=8.0)
-    ps.add_argument("--k", type=int, default=2)
-    ps.add_argument("--algorithm", default="AC-LMST")
+    _add_instance_options(ps, n=400)
     ps.add_argument("--flows", type=int, default=1000)
-    ps.add_argument("--seed", type=int, default=7)
-    ps.add_argument(
-        "--backend",
-        default="landmark",
-        choices=BACKENDS,
-    )
-    ps.add_argument(
-        "--trace",
-        default=None,
-        metavar="PATH",
-        help="also write the JSONL trace to PATH",
-    )
+    ps.add_argument("--backend", default="landmark", choices=BACKENDS)
+    _add_trace_option(ps, "also write the JSONL trace to PATH")
 
     pv = sub.add_parser(
         "serve",
         help="run the long-lived engine service over a seeded event "
         "schedule, with crash-consistent checkpoints and replay recovery",
     )
-    pv.add_argument("--n", type=int, default=100)
-    pv.add_argument("--degree", type=float, default=8.0)
-    pv.add_argument("--k", type=int, default=2)
-    pv.add_argument("--algorithm", default="NC-Mesh")
-    pv.add_argument(
-        "--backend",
-        default="lazy",
-        choices=BACKENDS,
-    )
-    pv.add_argument("--seed", type=int, default=7)
+    _add_instance_options(pv, n=100, algorithm="NC-Mesh")
+    pv.add_argument("--backend", default="lazy", choices=BACKENDS)
     pv.add_argument("--events", type=int, default=200)
     pv.add_argument("--base-loss", type=float, default=0.05)
     pv.add_argument("--checkpoint-every", type=int, default=50)
@@ -262,59 +242,63 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_budget(trials: Optional[int]) -> None:
-    if trials is not None:
-        os.environ["REPRO_TRIALS"] = str(trials)
+def _options(args: argparse.Namespace, *drop: str) -> dict[str, Any]:
+    """The parsed options except the trial budget, the trace path and
+    ``drop``: with the command name, exactly a trace manifest's knobs."""
+    skip = {"trials", "trace", *drop}
+    return {k: v for k, v in vars(args).items() if k not in skip}
 
 
-def _start_tracing() -> None:
-    """Switch the observability layer on with a clean registry/tracer."""
-    from . import obs
-
-    obs.set_enabled(True)
-    obs.reset()
-    obs.reset_tracer()
+def _run_figure4(args: argparse.Namespace) -> int:
+    data = figure4.run(n=args.n, degree=args.degree, k=args.k, seed=args.seed)
+    print(figure4.render(data))
+    return 0
 
 
-def _finish_tracing(trace_path: Optional[str], **knobs: object) -> None:
-    """Export the collected spans/metrics and switch the layer back off."""
-    from . import obs
+def _run_traffic(args: argparse.Namespace) -> int:
+    print(render_traffic(run_traffic(**_options(args, "command"))))
+    return 0
 
-    spans = obs.take_finished()
-    if trace_path is not None:
-        out = obs.write_trace(
-            trace_path, spans, obs.run_manifest(**knobs)
-        )
-        print(f"trace written to {out}")
-    obs.set_enabled(False)
+
+def _run_mobility(args: argparse.Namespace) -> int:
+    topo = random_topology(args.n, degree=args.degree, seed=args.seed)
+    wl = make_workload(args.workload, topo.graph.n, args.flows, seed=args.seed)
+    report = simulate_mobile_traffic(
+        topo,
+        args.k,
+        wl,
+        snapshots=args.snapshots,
+        speed=tuple(args.speed),
+        seed=args.seed,
+        algorithm=args.algorithm,
+        engine=args.engine,
+    )
+    print(render_mobile(report))
+    return 0
+
+
+def _run_chaos(args: argparse.Namespace) -> int:
+    report = run_chaos(
+        seed=args.seed,
+        events=args.events,
+        n=args.n,
+        degree=args.degree,
+        k=args.k,
+        algorithm=args.algorithm,
+        flows=args.flows,
+        join_weight=args.join_weight,
+        stop_on_violation=not args.keep_going,
+        trace_path=args.trace,
+    )
+    print(render_chaos(report))
+    return 0 if report.ok else 1
 
 
 def _run_stats(args: argparse.Namespace) -> int:
-    """The ``repro-khop stats`` command: one instrumented quick run."""
-    from . import obs
-    from .traffic.report import run_traffic
-
-    _start_tracing()
-    run_traffic(
-        n=args.n,
-        degree=args.degree,
-        k=args.k,
-        algorithm=args.algorithm,
-        flows=args.flows,
-        seed=args.seed,
-        backend=args.backend,
-    )
+    """One instrumented quick traffic run: manifest, span flame, metrics."""
+    run_traffic(**_options(args, "command"))
     spans = obs.take_finished()
-    manifest = obs.run_manifest(
-        command="stats",
-        n=args.n,
-        degree=args.degree,
-        k=args.k,
-        algorithm=args.algorithm,
-        flows=args.flows,
-        seed=args.seed,
-        backend=args.backend,
-    )
+    manifest = obs.run_manifest(**_options(args))
     knobs = ", ".join(f"{k}={v}" for k, v in manifest["knobs"].items())
     print(
         f"manifest: schema={manifest['schema']} "
@@ -328,15 +312,11 @@ def _run_stats(args: argparse.Namespace) -> int:
     if args.trace is not None:
         out = obs.write_trace(args.trace, spans, manifest)
         print(f"\ntrace written to {out}")
-    obs.set_enabled(False)
     return 0
 
 
 def _run_serve(args: argparse.Namespace) -> int:
-    """The ``repro-khop serve`` command: the supervised service loop."""
-    from . import obs
-    from .service import ServiceConfig, run_service
-
+    """The supervised service loop over a seeded event schedule."""
     config = ServiceConfig(
         n=args.n,
         degree=args.degree,
@@ -349,12 +329,8 @@ def _run_serve(args: argparse.Namespace) -> int:
         guard_every=args.guard_every,
         fsync=not args.no_fsync,
     )
-    _start_tracing()
     engine, report = run_service(
-        config,
-        events=args.events,
-        directory=args.dir,
-        resume=args.resume,
+        config, events=args.events, directory=args.dir, resume=args.resume
     )
     print(report.render())
     # One-line digest of the observable state: two runs that processed
@@ -366,162 +342,88 @@ def _run_serve(args: argparse.Namespace) -> int:
         print(f"service directory     {args.dir}")
     print()
     print(obs.render_metrics())
-    obs.set_enabled(False)
     return 0
+
+
+def _run_lint(args: argparse.Namespace) -> int:
+    from .lint import RULE_DOCS, run_lint
+
+    if args.list_rules:
+        for code, (name, what) in sorted(RULE_DOCS.items()):
+            print(f"{code}  {name:<22} {what}")
+        return 0
+    run = run_lint(args.root, args.paths or None)
+    if run.diagnostics:
+        print(LintError(tuple(run.diagnostics)).report())
+        return 1
+    print(
+        f"repro-lint: {run.files_checked} files clean "
+        f"({len(run.rules)} rules, {run.suppressed} pragma-suppressed)"
+    )
+    return 0
+
+
+def _run_claims(args: argparse.Namespace) -> int:
+    sparse = figure5.run(trials=args.trials)
+    dense = figure6.run(trials=args.trials)
+    verdicts = claims.check_claims(sparse, dense)
+    print(claims.render_verdicts(verdicts))
+    return 0 if all(v.holds for v in verdicts) else 1
+
+
+def _artifacts(*modules: ModuleType) -> Callable[[argparse.Namespace], int]:
+    """A runner that prints and exports each figure module's artifact."""
+
+    def run(args: argparse.Namespace) -> int:
+        for module in modules:
+            module.main()
+        return 0
+
+    return run
+
+
+_RUNNERS: dict[str, Callable[[argparse.Namespace], int]] = {
+    "figure4": _run_figure4,
+    "traffic": _run_traffic,
+    "mobility": _run_mobility,
+    "chaos": _run_chaos,
+    "stats": _run_stats,
+    "serve": _run_serve,
+    "lint": _run_lint,
+    "figure5": _artifacts(figure5),
+    "figure6": _artifacts(figure6),
+    "figure7": _artifacts(figure7),
+    "claims": _run_claims,
+    "overhead": _artifacts(overhead),
+    "ablations": _artifacts(ablations),
+    "all": _artifacts(figure4, figure5, figure6, figure7, overhead, ablations),
+}
+
+#: Commands that trace every run; the others trace only under ``--trace``.
+_ALWAYS_TRACED = ("stats", "serve")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
-    _apply_budget(args.trials)
-
-    if args.command == "lint":
-        from .errors import LintError
-        from .lint import RULE_DOCS, run_lint
-
-        if args.list_rules:
-            for code, (name, what) in sorted(RULE_DOCS.items()):
-                print(f"{code}  {name:<22} {what}")
-            return 0
-        run = run_lint(args.root, args.paths or None)
-        if run.diagnostics:
-            print(LintError(tuple(run.diagnostics)).report())
-            return 1
-        print(
-            f"repro-lint: {run.files_checked} files clean "
-            f"({len(run.rules)} rules, {run.suppressed} pragma-suppressed)"
-        )
-        return 0
-    if args.command == "stats":
-        return _run_stats(args)
-    if args.command == "serve":
-        return _run_serve(args)
-    if args.command == "chaos":
-        from .faults import render_chaos, run_chaos
-
-        if args.trace is not None:
-            _start_tracing()
-        chaos_report = run_chaos(
-            seed=args.seed,
-            events=args.events,
-            n=args.n,
-            degree=args.degree,
-            k=args.k,
-            algorithm=args.algorithm,
-            flows=args.flows,
-            join_weight=args.join_weight,
-            stop_on_violation=not args.keep_going,
-            trace_path=args.trace,
-        )
-        print(render_chaos(chaos_report))
-        if args.trace is not None:
-            _finish_tracing(
-                args.trace,
-                command="chaos",
-                seed=args.seed,
-                events=args.events,
-                n=args.n,
-                degree=args.degree,
-                k=args.k,
-                algorithm=args.algorithm,
-                flows=args.flows,
-                join_weight=args.join_weight,
-            )
-        return 0 if chaos_report.ok else 1
-    if args.command == "figure4":
-        data = figure4.run(n=args.n, degree=args.degree, k=args.k, seed=args.seed)
-        print(figure4.render(data))
-    elif args.command == "traffic":
-        from .traffic import report as traffic_report
-
-        if args.trace is not None:
-            _start_tracing()
-        traffic_report.main(
-            n=args.n,
-            degree=args.degree,
-            k=args.k,
-            algorithm=args.algorithm,
-            workload=args.workload,
-            flows=args.flows,
-            seed=args.seed,
-            lifetime_epochs=args.lifetime_epochs,
-            backend=args.backend,
-            balance=args.balance,
-            radio_budget=args.radio_budget,
-        )
-        if args.trace is not None:
-            _finish_tracing(
-                args.trace,
-                command="traffic",
-                n=args.n,
-                degree=args.degree,
-                k=args.k,
-                algorithm=args.algorithm,
-                workload=args.workload,
-                flows=args.flows,
-                seed=args.seed,
-                lifetime_epochs=args.lifetime_epochs,
-                backend=args.backend,
-                balance=args.balance,
-                radio_budget=args.radio_budget,
-            )
-    elif args.command == "mobility":
-        from .traffic import mobile
-
-        if args.trace is not None:
-            _start_tracing()
-        mobile.main(
-            n=args.n,
-            degree=args.degree,
-            k=args.k,
-            algorithm=args.algorithm,
-            workload=args.workload,
-            flows=args.flows,
-            snapshots=args.snapshots,
-            speed=tuple(args.speed),
-            seed=args.seed,
-            engine=args.engine,
-        )
-        if args.trace is not None:
-            _finish_tracing(
-                args.trace,
-                command="mobility",
-                n=args.n,
-                degree=args.degree,
-                k=args.k,
-                algorithm=args.algorithm,
-                workload=args.workload,
-                flows=args.flows,
-                snapshots=args.snapshots,
-                speed=list(args.speed),
-                seed=args.seed,
-                engine=args.engine,
-            )
-    elif args.command == "figure5":
-        figure5.main()
-    elif args.command == "figure6":
-        figure6.main()
-    elif args.command == "figure7":
-        figure7.main()
-    elif args.command == "claims":
-        sparse = figure5.run(trials=args.trials)
-        dense = figure6.run(trials=args.trials)
-        verdicts = claims.check_claims(sparse, dense)
-        print(claims.render_verdicts(verdicts))
-        if not all(v.holds for v in verdicts):
-            return 1
-    elif args.command == "overhead":
-        overhead.main()
-    elif args.command == "ablations":
-        ablations.main()
-    elif args.command == "all":
-        figure4.main()
-        figure5.main()
-        figure6.main()
-        figure7.main()
-        overhead.main()
-        ablations.main()
-    return 0
+    if args.trials is not None:
+        os.environ["REPRO_TRIALS"] = str(args.trials)
+    run = _RUNNERS[args.command]
+    trace = getattr(args, "trace", None)
+    if trace is None and args.command not in _ALWAYS_TRACED:
+        return run(args)
+    obs.set_enabled(True)
+    obs.reset()
+    obs.reset_tracer()
+    try:
+        code = run(args)
+        if trace is not None and args.command != "stats":
+            manifest = obs.run_manifest(**_options(args))
+            out = obs.write_trace(trace, obs.take_finished(), manifest)
+            print(f"trace written to {out}")
+        return code
+    finally:
+        obs.set_enabled(False)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -26,8 +26,9 @@ __all__ = [
     "save_sweep_csv",
 ]
 
-#: Default output directory for CSV artifacts.
-RESULTS_DIR = Path(__file__).resolve().parents[3] / "results"
+#: Output directory for CSV artifacts: ``results/`` under the working
+#: directory, so a run never writes into the installed package's tree.
+RESULTS_DIR = Path("results")
 
 #: Node counts swept by the paper ("from 50 to 200").
 PAPER_NS: tuple[int, ...] = (50, 80, 110, 140, 170, 200)

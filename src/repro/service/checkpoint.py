@@ -16,7 +16,10 @@ Two artifacts live in the service directory:
 
 The snapshot schema follows the :mod:`repro.obs.export` manifest
 conventions — ``schema`` tag, creation timestamp, git sha — so every
-checkpoint is self-describing.  All formats are JSON; pickle and friends
+checkpoint is self-describing.  A top-level ``crc32`` covers the rest of
+the record, so a flipped byte that still parses as JSON is skipped like
+any corrupt file instead of restoring a different engine.  All formats
+are JSON; pickle and friends
 are banned from durable paths by lint rule R011 (a pickle checkpoint
 couples recovery to code layout and silently breaks across versions).
 
@@ -36,6 +39,7 @@ import os
 import re
 import tempfile
 import time
+import zlib
 from pathlib import Path
 from typing import Any, Optional, Union
 
@@ -54,12 +58,16 @@ __all__ = [
 ]
 
 #: Format tag written into every checkpoint (bump on breaking changes).
-CHECKPOINT_SCHEMA = "repro-khop-checkpoint/1"
+CHECKPOINT_SCHEMA = "repro-khop-checkpoint/2"
 
 #: The append-only event log's file name inside the service directory.
 EVENT_LOG_NAME = "events.jsonl"
 
 _CHECKPOINT_RE = re.compile(r"^checkpoint-(\d{8})\.json$")
+
+
+def _crc32(body: str) -> str:
+    return f"{zlib.crc32(body.encode()):08x}"
 
 
 def checkpoint_path(directory: Union[str, Path], seq: int) -> Path:
@@ -136,9 +144,11 @@ def write_checkpoint(
     """Atomically write the snapshot for event cursor ``seq``.
 
     ``state`` is the engine's JSON-serializable state dict;
-    ``knobs`` the run configuration, recorded manifest-style.  The write
-    is temp-file + fsync + ``os.replace``, so concurrent/interrupted
-    writers can never expose a partial snapshot under the final name.
+    ``knobs`` the run configuration, recorded manifest-style.  The
+    record is serialized once, with sorted keys, and signed with the
+    CRC-32 of those bytes.  The write is temp-file + fsync +
+    ``os.replace``, so concurrent/interrupted writers can never expose a
+    partial snapshot under the final name.
     """
     directory = Path(directory)
     target = checkpoint_path(directory, seq)
@@ -150,7 +160,10 @@ def write_checkpoint(
         "knobs": dict(sorted((knobs or {}).items())),
         "state": state,
     }
-    payload = json.dumps(record, sort_keys=True)
+    body = json.dumps(record, sort_keys=True)
+    # "crc32" sorts before every other key, so the signed payload is
+    # still the record serialized with sorted keys.
+    payload = f'{{"crc32": "{_crc32(body)}", {body[1:]}'
     fd, tmp = tempfile.mkstemp(
         prefix=".checkpoint-", suffix=".tmp", dir=directory
     )
@@ -175,11 +188,12 @@ def latest_checkpoint(
     """Load the newest *valid* snapshot as ``(seq, record)``.
 
     Scans for ``checkpoint-*.json`` names in descending cursor order and
-    returns the first that parses (UTF-8 JSON holding an object) and
-    carries the expected schema tag; corrupt or foreign files are
-    skipped, orphaned temp files never match the name pattern at all.
-    Returns None when no valid snapshot exists (fresh directory — the
-    caller starts from the log alone).
+    returns the first that parses (UTF-8 JSON holding an object),
+    carries the expected schema tag, matches its ``crc32`` and names its
+    own cursor; corrupt or foreign files are skipped, orphaned temp
+    files never match the name pattern at all.  The record comes back
+    without its ``crc32``.  Returns None when no valid snapshot exists
+    (fresh directory — the caller starts from the log alone).
     """
     directory = Path(directory)
     if not directory.is_dir():
@@ -200,6 +214,9 @@ def latest_checkpoint(
         if not isinstance(record, dict):
             continue
         if record.get("schema") != CHECKPOINT_SCHEMA:
+            continue
+        crc = record.pop("crc32", None)
+        if crc != _crc32(json.dumps(record, sort_keys=True)):
             continue
         if record.get("seq") != seq:
             continue

@@ -59,11 +59,11 @@ from ..net.graph import Graph
 from ..net.mobility import RandomWaypoint, snapshot_edge_delta
 from ..net.oracle import DIST_DTYPE
 from ..net.paths import PathOracle
-from ..net.topology import Topology, random_topology
+from ..net.topology import Topology
 from ..obs import publish_counters, span
 from .load import measure_load
 from .router import BatchRouter, RoutedFlows
-from .workloads import Workload, make_workload
+from .workloads import Workload
 
 __all__ = [
     "MobileEpoch",
@@ -511,32 +511,3 @@ def render_mobile(report: MobileTrafficReport) -> str:
             f"{report.router_rebuilds_avoided} router rebuilds avoided"
         )
     return "\n".join(lines)
-
-
-def main(
-    *,
-    n: int = 400,
-    degree: float = 8.0,
-    k: int = 2,
-    algorithm: str = "AC-LMST",
-    workload: str = "uniform",
-    flows: int = 2000,
-    snapshots: int = 20,
-    speed: tuple[float, float] = (0.5, 1.5),
-    seed: int = 7,
-    engine: str = "delta",
-) -> None:
-    """CLI driver: run one mobility-coupled traffic experiment."""
-    topo = random_topology(n, degree=degree, seed=seed)
-    wl = make_workload(workload, topo.graph.n, flows, seed=seed)
-    report = simulate_mobile_traffic(
-        topo,
-        k,
-        wl,
-        snapshots=snapshots,
-        speed=speed,
-        seed=seed,
-        algorithm=algorithm,
-        engine=engine,
-    )
-    print(render_mobile(report))

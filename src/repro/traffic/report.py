@@ -248,34 +248,3 @@ def render_traffic(report: TrafficReport) -> str:
                 f"{lr.distinct_heads} distinct heads, {part}"
             )
     return "\n".join(lines)
-
-
-def main(
-    *,
-    n: int = 400,
-    degree: float = 8.0,
-    k: int = 2,
-    algorithm: str = "AC-LMST",
-    workload: str = "uniform",
-    flows: int = 5000,
-    seed: int = 7,
-    lifetime_epochs: int = 0,
-    backend: str | None = None,
-    balance: bool = False,
-    radio_budget: float | None = None,
-) -> None:
-    """CLI driver: run one traffic experiment and print the summary."""
-    report = run_traffic(
-        n=n,
-        degree=degree,
-        k=k,
-        algorithm=algorithm,
-        workload=workload,
-        flows=flows,
-        seed=seed,
-        lifetime_epochs=lifetime_epochs,
-        backend=backend,
-        balance=balance,
-        radio_budget=radio_budget,
-    )
-    print(render_traffic(report))

@@ -285,10 +285,6 @@ class BatchRouter:
         *,
         with_shortest: bool = True,
         balance: bool = False,
-        k_paths: int = 4,
-        tie_variants: int = 3,
-        stretch_bound: float = 1.5,
-        max_moves: int | None = None,
         balance_seed: int = 7,
     ) -> RoutedFlows:
         """Route every flow of ``workload``; returns the full batch.
@@ -298,14 +294,15 @@ class BatchRouter:
             with_shortest: also resolve each flow's shortest-path
                 distance (one bulk ``pair_distances`` query) so stretch
                 is measurable; skip for pure load studies.
-            balance: spread inter-cluster flows across up to ``k_paths``
-                candidate head walks per head pair (seeded equal-cost
-                tie-break variants plus Yen k-shortest, weight-bounded by
-                ``stretch_bound``) via iterative load-aware reroutes of
-                the heaviest virtual links — see :meth:`_balance`.  Off
-                by default: every flow takes the canonical walk.
-            k_paths / tie_variants / stretch_bound / max_moves /
-                balance_seed: balance-mode knobs; ignored otherwise.
+            balance: spread inter-cluster flows across up to
+                ``_BALANCE_K_PATHS`` candidate head walks per head pair
+                (seeded equal-cost tie-break variants plus Yen
+                k-shortest, weight-bounded by ``_BALANCE_STRETCH_BOUND``)
+                via iterative load-aware reroutes of the heaviest virtual
+                links — see :meth:`_balance`.  Off by default: every flow
+                takes the canonical walk.
+            balance_seed: seeds the tie-break variants; ignored unless
+                ``balance``.
         """
         n = self._graph.n
         if workload.n != n:
@@ -376,10 +373,6 @@ class BatchRouter:
                 intra,
                 workload.demands,
                 fixed,
-                k_paths=k_paths,
-                tie_variants=tie_variants,
-                stretch_bound=stretch_bound,
-                max_moves=max_moves,
                 seed=balance_seed,
             )
         walks: list[tuple[NodeId, ...]] = []
@@ -425,6 +418,14 @@ class BatchRouter:
     #: Hottest links examined per balance iteration before declaring
     #: convergence — links colder than the top this-many never reroute.
     _BALANCE_SCAN_LINKS = 32
+    #: Candidate head walks per head pair in balance mode.
+    _BALANCE_K_PATHS = 4
+    #: Seeded equal-cost tie-break variants tried per head pair.
+    _BALANCE_TIE_VARIANTS = 3
+    #: Cap on a Yen detour's weight, as a multiple of the canonical walk's.
+    _BALANCE_STRETCH_BOUND = 1.5
+    #: Budget of hot-link reroutes in the last balance phase.
+    _BALANCE_MAX_MOVES = 512
 
     def _balance(
         self,
@@ -434,20 +435,17 @@ class BatchRouter:
         demands: np.ndarray,
         fixed: np.ndarray,
         *,
-        k_paths: int,
-        tie_variants: int,
-        stretch_bound: float,
-        max_moves: int | None,
         seed: int,
     ) -> dict[int, tuple[NodeId, ...]]:
         """Assign every inter-cluster flow a head sequence, load-aware.
 
         Flows are grouped by ordered head pair; each group gets up to
-        ``k_paths`` candidate backbone walks — the canonical shortest
+        ``_BALANCE_K_PATHS`` candidate backbone walks — the canonical shortest
         sequence, seeded equal-cost tie-break variants (zero stretch
         cost, one shared Dijkstra tree per variant and source head), and
-        Yen k-shortest detours (weight-capped at ``stretch_bound`` times
-        the canonical weight) only when equal-cost diversity runs out.
+        Yen k-shortest detours (weight-capped at ``_BALANCE_STRETCH_BOUND``
+        times the canonical weight) only when equal-cost diversity runs
+        out.
         The objective throughout is the **sum of squared per-node loads**
         over the whole graph, seeded with the candidate-independent
         ``fixed`` loads: totals are (nearly) constant across assignments,
@@ -465,7 +463,7 @@ class BatchRouter:
         3. **hot-link reroutes** — repeatedly take the most loaded
            virtual link and move the first crossing flow whose switch to
            a candidate avoiding that link strictly lowers the objective;
-           bounded by ``max_moves`` (default 512) and monotone in the
+           bounded by ``_BALANCE_MAX_MOVES`` and monotone in the
            objective, so it cannot cycle.
 
         Returns a map from flow index to its chosen head sequence (every
@@ -511,24 +509,26 @@ class BatchRouter:
                 rec_cache[seq] = rec
             return rec
 
+        k_paths = self._BALANCE_K_PATHS
         cand_seqs: list[list[tuple[NodeId, ...]]] = []
         cand_recs: list[list[tuple]] = []
         for a, b in pair_of:
             seqs = [router.head_sequence(a, b)]
-            for v in range(1, tie_variants + 1):
+            for v in range(1, self._BALANCE_TIE_VARIANTS + 1):
                 if len(seqs) >= k_paths:
                     break
                 alt = router.alt_sequence(a, b, seed + v)
                 if alt not in seqs:
                     seqs.append(alt)
-            want = k_paths
             if len(seqs) < min(3, k_paths):
                 # Equal-cost diversity ran out: only strictly longer
                 # detours can diversify, so pay for Yen — weight-capped,
                 # which keeps every spur search local to the pair.
-                bound = stretch_bound * max(router.seq_weight(seqs[0]), 1)
+                bound = self._BALANCE_STRETCH_BOUND * max(
+                    router.seq_weight(seqs[0]), 1
+                )
                 for seq_k in router.k_shortest_sequences(
-                    a, b, want, max_weight=bound
+                    a, b, k_paths, max_weight=bound
                 ):
                     if len(seqs) >= k_paths:
                         break
@@ -631,9 +631,8 @@ class BatchRouter:
 
         heap = [(-load, e) for e, load in sorted(link_load.items())]
         heapq.heapify(heap)
-        budget = max_moves if max_moves is not None else 512
         moves = 0
-        while moves < budget:
+        while moves < self._BALANCE_MAX_MOVES:
             popped: list[tuple[float, tuple[int, int]]] = []
             move = None
             while heap and len(popped) < self._BALANCE_SCAN_LINKS:

@@ -89,6 +89,10 @@ class TestCheckpoints:
         assert record["schema"] == CHECKPOINT_SCHEMA
         assert record["state"] == {"x": 2}
         assert record["knobs"] == {"seed": 7}
+        # The file is signed with sorted keys; the reader drops the sum.
+        raw = json.loads(checkpoint_path(tmp_path, 20).read_text())
+        assert list(raw) == sorted(raw) and len(raw["crc32"]) == 8
+        assert "crc32" not in record
 
     def test_empty_dir_returns_none(self, tmp_path):
         assert latest_checkpoint(tmp_path) is None
@@ -118,11 +122,33 @@ class TestCheckpoints:
         assert latest_checkpoint(tmp_path)[0] == 3
 
     def test_seq_name_mismatch_skipped(self, tmp_path):
+        # A correctly signed record (seq 4) under another cursor's name.
         write_checkpoint(tmp_path, 4, {"x": 1})
-        rec = json.loads(checkpoint_path(tmp_path, 4).read_text())
-        rec["seq"] = 99
-        checkpoint_path(tmp_path, 7).write_text(json.dumps(rec))
+        checkpoint_path(tmp_path, 7).write_bytes(
+            checkpoint_path(tmp_path, 4).read_bytes()
+        )
         assert latest_checkpoint(tmp_path)[0] == 4
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda rec: rec["state"].update(x=3),
+            lambda rec: rec["knobs"].update(seed=8),
+            lambda rec: rec.pop("crc32"),
+            lambda rec: rec.update(crc32="00000000"),
+        ],
+    )
+    def test_bad_checksum_skipped(self, tmp_path, edit):
+        """A newest record edited into other valid JSON is skipped like a
+        corrupt file, and the next-newest checkpoint is returned."""
+        write_checkpoint(tmp_path, 5, {"x": 1}, knobs={"seed": 7})
+        write_checkpoint(tmp_path, 9, {"x": 2}, knobs={"seed": 7})
+        path = checkpoint_path(tmp_path, 9)
+        rec = json.loads(path.read_text())
+        edit(rec)
+        path.write_text(json.dumps(rec, sort_keys=True))
+        seq, record = latest_checkpoint(tmp_path)
+        assert seq == 5 and record["state"] == {"x": 1}
 
     def test_orphan_temp_file_ignored(self, tmp_path):
         write_checkpoint(tmp_path, 2, {"x": 1})

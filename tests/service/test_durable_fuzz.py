@@ -4,9 +4,11 @@ One small service run leaves an event log and four checkpoints.  Each
 case corrupts one of those files once — a byte flip, a truncation or an
 insertion — and calls :func:`~repro.service.recovery.recover` on a copy
 of the directory.  The contract: ``recover`` returns an engine or raises
-:class:`~repro.errors.InvalidParameterError`, never another exception.
-Silently flipped digits that still parse are out of reach without
-checksums, so a returned engine is not compared with anything.
+:class:`~repro.errors.InvalidParameterError`, never another exception,
+and a returned engine is the clean directory's.  Every checkpoint
+carries a CRC-32 of its record, so a flip that still parses as JSON is
+skipped like any corrupt file, and the run ends on a checkpoint, so the
+log holds no tail past it that a flipped event could change.
 """
 
 import shutil
@@ -45,6 +47,8 @@ def _corrupt(data: bytes, rng: np.random.Generator) -> tuple[str, bytes]:
 def test_recover_raises_only_typed_errors(service_dir, tmp_path):
     files = sorted(p.name for p in service_dir.iterdir())
     assert "events.jsonl" in files and len(files) == 5
+    shutil.copytree(service_dir, tmp_path / "clean")
+    clean = recover(tmp_path / "clean").fingerprint()
     rng = np.random.default_rng(11)
     outcomes: Counter = Counter()
     for case in range(CASES):
@@ -54,12 +58,15 @@ def test_recover_raises_only_typed_errors(service_dir, tmp_path):
         kind, data = _corrupt((copy / target).read_bytes(), rng)
         (copy / target).write_bytes(data)
         try:
-            recover(copy)
+            engine = recover(copy)
         except InvalidParameterError:
             outcomes["typed"] += 1
         except Exception as exc:  # the contract under test
             pytest.fail(f"case {case}: {kind} of {target} raised {exc!r}")
         else:
+            if engine.fingerprint() != clean:
+                pytest.fail(f"case {case}: {kind} of {target} restored "
+                            "a different engine")
             outcomes["recovered"] += 1
         shutil.rmtree(copy)
     # Both branches of the contract are exercised.

@@ -7,15 +7,13 @@ digests, delivered fractions, and RNG stream position
 (:meth:`ServiceEngine.fingerprint` equality).
 """
 
-import json
-
 import pytest
 
 from repro.errors import InvalidParameterError
 from repro.service.checkpoint import (
     EVENT_LOG_NAME,
-    checkpoint_path,
     latest_checkpoint,
+    write_checkpoint,
 )
 from repro.service.engine import ServiceConfig, ServiceEngine, _initial_topology
 from repro.service.events import ServiceEvent, seeded_schedule
@@ -129,12 +127,13 @@ class TestKillAndRecover:
 
     @staticmethod
     def _rewrite_newest_checkpoint(directory, edit):
-        """Apply ``edit`` to the newest checkpoint record in place."""
+        """Apply ``edit`` to the newest checkpoint record and re-sign it,
+        so recovery gets past the checksum to the edited field."""
         seq, record = latest_checkpoint(directory)
         edit(record)
-        path = checkpoint_path(directory, seq)
-        path.write_text(json.dumps(record))
-        return path
+        return write_checkpoint(
+            directory, seq, record["state"], knobs=record["knobs"]
+        )
 
     def test_checkpoint_missing_state_field_raises(self, tmp_path):
         cfg = _config(seed=29)

@@ -207,6 +207,9 @@ class TestTracedRuns:
         manifest, spans, metrics = obs.read_trace(trace)
         assert manifest["knobs"]["command"] == "traffic"
         assert manifest["knobs"]["n"] == 80
+        # The knobs are the parsed options, less the budget and the path.
+        parsed = vars(build_parser().parse_args(["traffic"]))
+        assert set(manifest["knobs"]) == set(parsed) - {"trials", "trace"}
         assert len(spans) == 1
         names = self.span_names(spans[0])
         assert {"traffic", "topology", "cluster", "cds", "labels",
@@ -244,5 +247,6 @@ class TestTracedRuns:
         assert f"trace written to {trace}" in out
         manifest, spans, _ = obs.read_trace(trace)
         assert manifest["knobs"]["command"] == "chaos"
+        assert manifest["knobs"]["keep_going"] is False
         names = self.span_names(spans[0])
         assert "chaos" in names and "batch" in names
