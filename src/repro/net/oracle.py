@@ -153,11 +153,14 @@ class OracleStats:
         rows_patched: rows carried across an edge delta by exact
             decrease-propagation patching (removals certified harmless,
             added shortcuts applied in place).
-        batched_sweeps: bit-packed multi-source BFS sweeps run.
+        batched_sweeps: bit-packed multi-source BFS sweeps run (for the
+            path cache: the stop-set sweeps behind canonical paths).
         pair_queries: pair distances answered from landmark labels.
         label_entries: total 2-hop label entries held (landmark backend).
         paths_computed: canonical paths computed (path-cache stats).
         path_hits: path queries answered from the path cache.
+        sweep_levels: BFS levels the path cache's stop-set sweeps
+            advanced, summed over its sweeps (path-cache stats).
         lineage_rows_computed / lineage_row_hits /
         lineage_balls_computed / lineage_ball_hits: cumulative totals
             over the oracle's whole inheritance chain (this oracle plus
@@ -187,6 +190,7 @@ class OracleStats:
     label_entries: int = 0
     paths_computed: int = 0
     path_hits: int = 0
+    sweep_levels: int = 0
     lineage_rows_computed: int = 0
     lineage_row_hits: int = 0
     lineage_balls_computed: int = 0
@@ -557,6 +561,7 @@ def multi_source_bfs(
     n: int,
     sources: Sequence[int],
     max_depth: int | None = None,
+    stop: Tuple[Sequence[int], Sequence[int]] | None = None,
 ) -> DistArray:
     """Bit-packed multi-source BFS: up to B sources advance together.
 
@@ -572,6 +577,14 @@ def multi_source_bfs(
     farther nodes at :data:`UNREACHABLE` — the batched equivalent of a
     depth-limited ball BFS, used to warm many balls in one pass.
 
+    With ``stop=(lanes, targets)`` the sweep stops after the first level
+    at which source ``lanes[i]`` has reached ``targets[i]`` for every
+    ``i``: each entry up to the deepest target's distance is exact and
+    everything deeper stays :data:`UNREACHABLE`.  Canonical-path
+    resolution needs this, because its depth is only known once the
+    targets are found.  A target in another component leaves the sweep
+    running until its frontier dies, as without a stop set.
+
     Returns the ``(len(sources), n)`` int32 distance matrix.
     """
     num = len(sources)
@@ -580,6 +593,15 @@ def multi_source_bfs(
         return out
     src = np.asarray(sources, dtype=np.int64)
     out[np.arange(num), src] = 0
+    flat = out.reshape(-1)
+    pending = None  # flat positions of the stop targets not yet reached
+    if stop is not None:
+        pending = np.asarray(stop[0], dtype=np.int64) * n + np.asarray(
+            stop[1], dtype=np.int64
+        )
+        pending = pending[flat[pending] == UNREACHABLE]
+        if pending.size == 0:
+            return out
     words = (num + 63) >> 6
     lanes = np.arange(num)
     bit = np.uint64(1) << (lanes.astype(np.uint64) & np.uint64(63))
@@ -639,6 +661,10 @@ def multi_source_bfs(
                     out[b, hit] = level
         if not any_new:
             return out
+        if pending is not None:
+            pending = pending[flat[pending] == UNREACHABLE]
+            if pending.size == 0:
+                return out
         visited |= nxt
         frontier = nxt
         active = np.flatnonzero(nxt.any(axis=1))

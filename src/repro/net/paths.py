@@ -21,12 +21,16 @@ Reversing the walk gives the canonical path from ``s`` to ``t``.
 
 Backend note
 ------------
-Path construction needs the full BFS row of the smaller endpoint, obtained
-via :meth:`Graph.bfs_distances` and therefore through the graph's current
-:class:`~repro.net.oracle.DistanceOracle`.  On the lazy default that is a
-single CSR BFS (or a slice of a batched sweep) cached under the oracle's
-LRU row policy — virtual links are head-to-head, so an experiment touches
-O(heads) rows, never the O(n²) matrix.
+The walk reads the BFS levels of the smaller endpoint, and only those
+below ``d(s, t)``.  :meth:`PathOracle.paths` builds every cached path:
+it walks the root's row where the graph's
+:class:`~repro.net.oracle.DistanceOracle` holds one, and otherwise a
+:func:`~repro.net.oracle.multi_source_bfs` sweep that stops at the level
+of its deepest target and never enters the row cache.  A member's leg to
+its head spans at most k hops and an intra-cluster pair at most 2k
+(§3.2), so the router's sweeps stay that shallow instead of running the
+graph's whole depth.  :func:`canonical_path` is the uncached single-pair
+form; it reads the full row through :meth:`Graph.bfs_distances`.
 """
 
 from __future__ import annotations
@@ -36,9 +40,15 @@ from typing import Iterable
 import numpy as np
 
 from ..errors import DisconnectedGraphError
-from ..types import NodeId
+from ..types import DistArray, IndexArray, NodeId
 from .graph import UNREACHABLE, Graph
-from .oracle import ByteBudgetLRU, OracleStats, gather_csr_neighbors
+from .oracle import (
+    BATCH_BITS,
+    ByteBudgetLRU,
+    OracleStats,
+    gather_csr_neighbors,
+    multi_source_bfs,
+)
 
 __all__ = [
     "canonical_path",
@@ -61,26 +71,22 @@ def _path_nbytes(path: tuple[int, ...]) -> int:
     return 8 * len(path) + 64
 
 
-def canonical_path(graph: Graph, u: NodeId, v: NodeId) -> tuple[int, ...]:
-    """The canonical shortest path between ``u`` and ``v``, oriented u -> v.
+def _walk_back(
+    indptr: IndexArray, indices: IndexArray, dist: DistArray, s: int, t: int
+) -> tuple[int, ...]:
+    """The canonical path ``s .. t`` read off ``dist``, the levels from ``s``.
 
-    The underlying unordered path is computed from ``min(u, v)`` (see module
-    docstring); if ``u > v`` the result is reversed so it always starts at
-    ``u`` and ends at ``v``.
+    Walks back from ``t``, each hop to the minimum-ID neighbor one level
+    closer: CSR rows are sorted, so that is the row's first node one
+    level up.  Only levels below ``d(s, t)`` are read, so a sweep cut
+    off after the level of ``t`` serves as well as a full row.
 
     Raises:
-        DisconnectedGraphError: if ``v`` is unreachable from ``u``.
+        DisconnectedGraphError: if ``dist`` does not reach ``t``.
     """
-    if u == v:
-        return (u,)
-    s, t = (u, v) if u < v else (v, u)
-    dist = graph.bfs_distances(s)
     d = int(dist[t])
     if d >= UNREACHABLE:
-        raise DisconnectedGraphError(f"no path between {u} and {v}")
-    # Walk back from t toward s picking the min-ID predecessor each hop:
-    # CSR rows are sorted, so that is the row's first node one level up.
-    indptr, indices = graph.csr_adjacency
+        raise DisconnectedGraphError(f"no path between {s} and {t}")
     rev = [t]
     cur = t
     for level in range(d - 1, -1, -1):
@@ -89,8 +95,27 @@ def canonical_path(graph: Graph, u: NodeId, v: NodeId) -> tuple[int, ...]:
                 cur = w
                 break
         rev.append(cur)
-    path = tuple(reversed(rev))  # s .. t
-    assert path[0] == s and path[-1] == t and len(path) == d + 1
+    path = tuple(reversed(rev))
+    assert path[0] == s and len(path) == d + 1
+    return path
+
+
+def canonical_path(graph: Graph, u: NodeId, v: NodeId) -> tuple[int, ...]:
+    """The canonical shortest path between ``u`` and ``v``, oriented u -> v.
+
+    The underlying unordered path is computed from ``min(u, v)`` (see module
+    docstring); if ``u > v`` the result is reversed so it always starts at
+    ``u`` and ends at ``v``.  Uncached: it reads ``min(u, v)``'s full row
+    through the graph's distance oracle.
+
+    Raises:
+        DisconnectedGraphError: if ``v`` is unreachable from ``u``.
+    """
+    if u == v:
+        return (u,)
+    s, t = (u, v) if u < v else (v, u)
+    indptr, indices = graph.csr_adjacency
+    path = _walk_back(indptr, indices, graph.bfs_distances(s), s, t)
     return path if u == s else tuple(reversed(path))
 
 
@@ -122,6 +147,8 @@ class PathOracle:
         self._paths_computed = 0
         self._path_hits = 0
         self._paths_inherited = 0
+        self._batched_sweeps = 0
+        self._sweep_levels = 0
         self._peak_bytes = 0
 
     @property
@@ -283,20 +310,107 @@ class PathOracle:
         return self._graph.hop_distance(u, v)
 
     def path(self, u: NodeId, v: NodeId) -> tuple[int, ...]:
-        """Canonical path oriented from ``u`` to ``v`` (cached per pair)."""
+        """Canonical path oriented from ``u`` to ``v`` (cached per pair).
+
+        A miss resolves as a one-pair :meth:`paths` batch.
+        """
         if u == v:
             return (u,)
         key = (u, v) if u < v else (v, u)
         stored = self._cache.get(key)
         if stored is None:
-            stored = canonical_path(self._graph, key[0], key[1])
-            self._paths_computed += 1
-            self._cache.put(key, stored, _path_nbytes(stored))
-            if self._cache.nbytes > self._peak_bytes:
-                self._peak_bytes = self._cache.nbytes
-        else:
-            self._path_hits += 1
+            return self.paths(((u, v),))[(u, v)]
+        self._path_hits += 1
         return stored if u == key[0] else tuple(reversed(stored))
+
+    def paths(
+        self, pairs: Iterable[tuple[NodeId, NodeId]]
+    ) -> dict[tuple[NodeId, NodeId], tuple[int, ...]]:
+        """Canonical paths for many pairs, each oriented as requested.
+
+        The one place a canonical path is built.  Pairs missing from the
+        cache are grouped by their BFS root ``min(u, v)``:
+
+        * a root whose full row is resident in the graph's distance
+          oracle walks that row, each walk reading it through
+          :meth:`~repro.net.oracle.DistanceOracle.row` (one row hit per
+          path, as a single-pair lookup counts);
+        * the other roots run :data:`~repro.net.oracle.BATCH_BITS` at a
+          time through :func:`~repro.net.oracle.multi_source_bfs` with a
+          stop set, so a sweep ends at the first level at which every
+          target of its chunk is reached.  The walk reads only levels
+          below ``d(s, t)``, so the truncated block is exact; it never
+          enters the row cache.  ``stats().batched_sweeps`` and
+          ``stats().sweep_levels`` count these sweeps and their levels.
+
+        The counters read as if :meth:`path` ran once per distinct
+        requested pair: each counts one hit or one computed path.  The
+        returned dict holds every path, so an over-budget cache may
+        evict freely while a batch resolves.
+
+        Raises:
+            DisconnectedGraphError: if some pair has no path.
+        """
+        wanted = list(dict.fromkeys(pairs))
+        found: dict[tuple[int, int], tuple[int, ...]] = {}
+        todo: dict[int, dict[int, None]] = {}  # root -> targets
+        for u, v in wanted:
+            if u == v:
+                continue
+            s, t = (u, v) if u < v else (v, u)
+            if (s, t) in found or t in todo.get(s, ()):
+                self._path_hits += 1  # the other orientation, this batch
+                continue
+            stored = self._cache.get((s, t))
+            if stored is None:
+                todo.setdefault(s, {})[t] = None
+            else:
+                self._path_hits += 1
+                found[(s, t)] = stored
+        graph = self._graph
+        indptr, indices = graph.csr_adjacency
+        oracle = graph.oracle
+        swept: list[int] = []
+        for s in sorted(todo):
+            if oracle.cached_row(s) is None:
+                swept.append(s)
+                continue
+            for t in todo[s]:
+                dist = oracle.row(s)  # one row hit per walk, as canonical_path
+                self._store(found, _walk_back(indptr, indices, dist, s, t))
+        for start in range(0, len(swept), BATCH_BITS):
+            chunk = swept[start : start + BATCH_BITS]
+            lanes = [i for i, s in enumerate(chunk) for _ in todo[s]]
+            targets = [t for s in chunk for t in todo[s]]
+            block = multi_source_bfs(
+                indptr, indices, graph.n, chunk, stop=(lanes, targets)
+            )
+            depth = block[lanes, targets]
+            self._batched_sweeps += 1
+            self._sweep_levels += int(depth[depth < UNREACHABLE].max(initial=0))
+            for i, s in enumerate(chunk):
+                for t in todo[s]:
+                    self._store(found, _walk_back(indptr, indices, block[i], s, t))
+        out: dict[tuple[NodeId, NodeId], tuple[int, ...]] = {}
+        for u, v in wanted:
+            if u == v:
+                out[(u, v)] = (u,)
+            elif u < v:
+                out[(u, v)] = found[(u, v)]
+            else:
+                out[(u, v)] = tuple(reversed(found[(v, u)]))
+        return out
+
+    def _store(
+        self, found: dict[tuple[int, int], tuple[int, ...]], path: tuple[int, ...]
+    ) -> None:
+        """Cache a freshly walked path (stored ``min .. max``)."""
+        key = (path[0], path[-1])
+        found[key] = path
+        self._paths_computed += 1
+        self._cache.put(key, path, _path_nbytes(path))
+        if self._cache.nbytes > self._peak_bytes:
+            self._peak_bytes = self._cache.nbytes
 
     def interior(self, u: NodeId, v: NodeId) -> tuple[int, ...]:
         """Interior nodes of the canonical ``u``-``v`` path."""
@@ -312,8 +426,10 @@ class PathOracle:
             ball_hits=0,
             cached_bytes=self._cache.nbytes,
             peak_cached_bytes=self._peak_bytes,
+            batched_sweeps=self._batched_sweeps,
             paths_computed=self._paths_computed,
             path_hits=self._path_hits,
+            sweep_levels=self._sweep_levels,
         )
 
     def __len__(self) -> int:

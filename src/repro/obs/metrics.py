@@ -308,6 +308,7 @@ def publish_oracle_stats(stats: object, prefix: str = "oracle") -> None:
         "label_entries",
         "paths_computed",
         "path_hits",
+        "sweep_levels",
         "lineage_rows_computed",
         "lineage_row_hits",
         "lineage_inherits",

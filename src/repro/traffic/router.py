@@ -9,11 +9,13 @@ sharing everything that is shareable:
   walk per head sequence;
 * member->head **legs** resolved once per distinct (member, head) pair
   and reused across every flow that enters or leaves that cluster;
-* the BFS rows behind canonical-path construction requested in
-  :data:`~repro.net.oracle.BATCH_BITS`-source bit-packed sweeps
-  (:meth:`DistanceOracle.rows`) instead of one Python BFS per pair —
-  legs are resolved chunk-by-chunk immediately after their rows land so
-  a bounded row cache can never thrash;
+* every missing leg of a batch resolved by one
+  :meth:`~repro.net.paths.PathOracle.paths` call: roots without a
+  resident row share :data:`~repro.net.oracle.BATCH_BITS`-root
+  bit-packed sweeps that stop at the level of their deepest target.  A
+  leg spans at most k hops and an intra-cluster pair at most 2k, so the
+  sweeps stay that shallow instead of running full BFS rows, and they
+  never enter the row cache;
 * shortest-path distances for the whole batch answered by one
   :meth:`DistanceOracle.pair_distances` call (grouped batched rows on
   the lazy backend, O(|label|) joins on the landmark backend).
@@ -46,7 +48,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (faults -> traffic)
 from ..cds.routing import HeadRouter
 from ..core.pipeline import BackboneResult
 from ..errors import InvalidParameterError
-from ..net.oracle import BATCH_BITS, DIST_DTYPE
+from ..net.oracle import DIST_DTYPE
 from ..net.paths import PathOracle
 from ..obs import publish_counters
 from ..types import DistArray, FloatArray, NodeId, normalize_edge
@@ -252,33 +254,6 @@ class BatchRouter:
         """One flow's walk, sharing this router's caches."""
         return self._router.walk(self._oracle, source, target)
 
-    def _resolve_legs(
-        self, pairs: set[tuple[int, int]]
-    ) -> dict[tuple[int, int], tuple[NodeId, ...]]:
-        """Canonical paths for distinct unordered pairs, rows batched.
-
-        Pairs are grouped by their smaller endpoint (the BFS root of the
-        canonical-path construction) and resolved in
-        :data:`~repro.net.oracle.BATCH_BITS`-root chunks: one bit-packed
-        sweep warms the chunk's rows, then every leg of the chunk walks
-        its (cache-hot) row.  Resolved legs are pinned in a local dict,
-        so an over-budget row/path cache can evict freely without forcing
-        recomputation.
-        """
-        by_root: dict[int, list[tuple[int, int]]] = {}
-        for pair in pairs:
-            by_root.setdefault(pair[0], []).append(pair)
-        roots = sorted(by_root)
-        legs: dict[tuple[int, int], tuple[NodeId, ...]] = {}
-        oracle = self._graph.oracle
-        for start in range(0, len(roots), BATCH_BITS):
-            chunk = roots[start : start + BATCH_BITS]
-            oracle.rows(chunk)  # one batched sweep warms the row cache
-            for root in chunk:
-                for pair in by_root[root]:
-                    legs[pair] = self._oracle.path(pair[0], pair[1])
-        return legs
-
     def route_flows(
         self,
         workload: Workload,
@@ -327,7 +302,7 @@ class BatchRouter:
                     pairs.add(normalize_edge(s, a))
                 if t != b:
                     pairs.add(normalize_edge(b, t))
-        legs = self._resolve_legs(pairs)
+        legs = self._oracle.paths(pairs)
 
         def leg(u: int, v: int) -> tuple[NodeId, ...]:
             if u == v:

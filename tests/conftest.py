@@ -1,7 +1,8 @@
-"""Shared fixtures and hypothesis strategies for the test suite."""
+"""Shared fixtures, hypothesis strategies and networkx references."""
 
 from __future__ import annotations
 
+import networkx as nx
 import pytest
 from hypothesis import strategies as st
 
@@ -51,6 +52,44 @@ def trees(draw, min_n: int = 1, max_n: int = 20):
 
 #: The paper's k range.
 ks = st.integers(1, 4)
+
+
+# --------------------------------------------------------------------- #
+# independent references
+# --------------------------------------------------------------------- #
+
+
+class NxCanonicalPaths:
+    """Canonical shortest paths of ``g`` computed by networkx alone.
+
+    The reference for :mod:`repro.net.paths`, written from its
+    definition: the levels of ``s = min(u, v)`` come from
+    ``nx.single_source_shortest_path_length`` (memoized per root), and
+    the walk back from ``t = max(u, v)`` steps to the minimum-ID
+    neighbor one level closer to ``s`` at each hop.  Nothing of
+    ``repro`` runs but :meth:`Graph.to_networkx`.
+    """
+
+    def __init__(self, g: Graph) -> None:
+        self._nxg = g.to_networkx()
+        self._levels: dict[int, dict[int, int]] = {}
+
+    def __call__(self, u: int, v: int) -> tuple[int, ...] | None:
+        """The path oriented ``u -> v``; ``None`` if none exists."""
+        if u == v:
+            return (u,)
+        s, t = min(u, v), max(u, v)
+        if s not in self._levels:
+            self._levels[s] = nx.single_source_shortest_path_length(self._nxg, s)
+        level = self._levels[s]
+        if t not in level:
+            return None
+        rev = [t]
+        while rev[-1] != s:
+            up = level[rev[-1]] - 1
+            rev.append(min(w for w in self._nxg[rev[-1]] if level.get(w) == up))
+        path = tuple(reversed(rev))
+        return path if u == s else path[::-1]
 
 
 # --------------------------------------------------------------------- #

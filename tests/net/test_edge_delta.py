@@ -6,7 +6,8 @@ rebuild — rows, balls, canonical paths and certified sources alike.  The
 randomized equivalence classes here drive arbitrary add/remove deltas
 (including chains, and chains mixed with node removals) against fresh
 rebuilds; the edge-case classes pin the corners of node removal — the
-delta that drops every incident edge.
+delta that drops every incident edge.  Carried canonical paths are
+checked against the networkx reference (``NxCanonicalPaths``).
 """
 
 import numpy as np
@@ -15,8 +16,10 @@ import pytest
 from repro.errors import InvalidParameterError
 from repro.net.graph import Graph
 from repro.net.oracle import UNREACHABLE, LazyDistanceOracle
-from repro.net.paths import PathOracle, canonical_path
+from repro.net.paths import PathOracle
 from repro.net.topology import random_topology
+
+from ..conftest import NxCanonicalPaths
 
 
 def _random_graph(rng, n):
@@ -237,8 +240,9 @@ class TestInheritFromEdgeCases:
         child = PathOracle(g2)
         carried = child.inherit_from(oracle, spare)
         assert carried == len(oracle)
+        ref = NxCanonicalPaths(g2)
         for t in range(1, 12):
-            assert child.path(0, t) == canonical_path(g2, 0, t)
+            assert child.path(0, t) == ref(0, t)
 
     def test_removal_of_partially_inherited_rows_source(self):
         # A source whose row the first removal dropped dies next: its
@@ -302,6 +306,9 @@ class TestPathOracleEdgeDelta:
         rng = np.random.default_rng(seed)
         for _ in range(60):
             u, v = rng.choice(n, size=2, replace=False)
+            # A resident root row lets certificate (c) carry the path
+            # across added edges; a cold root would always drop it.
+            g.oracle.row(int(min(u, v)))
             oracle.path(int(u), int(v))
         return g, oracle
 
@@ -316,8 +323,9 @@ class TestPathOracleEdgeDelta:
             }
             child = PathOracle(g2)
             carried = child.inherit_edge_delta(oracle, touched)
+            ref = NxCanonicalPaths(g2)
             for key, path in list(child._cache.items()):
-                assert path == canonical_path(g2, key[0], key[1])
+                assert path == ref(key[0], key[1])
             assert carried == len(child)
 
     def test_empty_delta_carries_everything(self):
@@ -347,11 +355,9 @@ class TestPathOracleEdgeDelta:
             }
             child = PathOracle(g2)
             child.inherit_edge_delta(oracle, touched)
+            ref = NxCanonicalPaths(g2)
             for key, path in list(child._cache.items()):
-                assert path == canonical_path(g2, key[0], key[1]), (
-                    trial,
-                    key,
-                )
+                assert path == ref(key[0], key[1]), (trial, key)
 
 
 class TestOracleEmptyDelta:

@@ -454,6 +454,37 @@ class TestBatchBoundaries:
         assert batched.stats().row_hits == a.row_hits + 1
         assert batched.stats().pair_queries == a.pair_queries
 
+    def test_probe_stream_matches_per_pair_reference(self):
+        """A seeded stream of row reads and pair batches under a row
+        budget that evicts: a batch answers, counts and reorders the
+        resident rows exactly as its pairs asked one call at a time."""
+        g = batch_graph(129, seed=31)
+        truth = networkx_distances(g)
+        row_bytes = g.n * np.dtype(DIST_DTYPE).itemsize
+        batched = LandmarkDistanceOracle(g, row_cache_bytes=5 * row_bytes)
+        twin = LandmarkDistanceOracle(g, row_cache_bytes=5 * row_bytes)
+        rng = np.random.default_rng(2026)
+        for step in range(30):
+            for s in rng.integers(0, g.n, int(rng.integers(1, 4))).tolist():
+                batched.row(s)
+                twin.row(s)
+            resident = [s for s, _ in batched._rows.items()]
+            pairs = rng.integers(0, g.n, (int(rng.integers(1, 80)), 2))
+            hot = rng.random(len(pairs)) < 0.5
+            pairs[hot, 0] = rng.choice(resident, int(hot.sum()))
+            same = rng.random(len(pairs)) < 0.05
+            pairs[same, 1] = pairs[same, 0]
+            got = batched.pair_distances([tuple(p) for p in pairs.tolist()])
+            want = [twin.distance(u, v) for u, v in pairs.tolist()]
+            assert got.tolist() == want, step
+            assert want == truth[pairs[:, 0], pairs[:, 1]].tolist(), step
+            a, b = batched.stats(), twin.stats()
+            assert (a.row_hits, a.pair_queries) == (b.row_hits, b.pair_queries)
+            assert [s for s, _ in batched._rows.items()] == [
+                s for s, _ in twin._rows.items()
+            ], step
+        assert len(twin._rows) == 5 and twin.stats().rows_computed > 20
+
     def test_sentinel_caps_graph_size(self):
         # Checked before anything is allocated for the n nodes.
         indptr = np.zeros(1, dtype=np.int64)

@@ -519,6 +519,43 @@ class TestBatchedBalls:
             oracle.prepare_balls([0], -1)
 
 
+class TestStopSetSweep:
+    """``multi_source_bfs(stop=...)`` ends at its deepest target's level."""
+
+    @staticmethod
+    def _check(g, sources, lanes, targets):
+        indptr, indices = g.csr_adjacency
+        full = multi_source_bfs(indptr, indices, g.n, sources)
+        cut = multi_source_bfs(
+            indptr, indices, g.n, sources, stop=(lanes, targets)
+        )
+        deepest = int(full[lanes, targets].max(initial=0))
+        assert cut.dtype == DIST_DTYPE
+        assert (cut == np.where(full <= deepest, full, UNREACHABLE)).all()
+
+    @given(connected_graphs(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_full_sweep_up_to_deepest_target(self, g, data):
+        nodes = st.integers(0, g.n - 1)
+        sources = data.draw(st.lists(nodes, min_size=1, max_size=g.n, unique=True))
+        stops = data.draw(
+            st.lists(st.tuples(st.integers(0, len(sources) - 1), nodes), max_size=8)
+        )
+        self._check(g, sources, [i for i, _ in stops], [t for _, t in stops])
+
+    def test_two_word_lanes(self):
+        g = toroidal_grid(9, 9)  # 81 sources: two frontier words per node
+        self._check(g, list(range(81)), [0, 70, 80, 80], [1, 33, 40, 80])
+
+    def test_unreachable_target_runs_the_full_sweep(self):
+        g = Graph(8, [(0, 1), (1, 2), (2, 3), (5, 6)])
+        indptr, indices = g.csr_adjacency
+        full = multi_source_bfs(indptr, indices, g.n, [0, 5])
+        cut = multi_source_bfs(indptr, indices, g.n, [0, 5], stop=([0, 1], [1, 0]))
+        assert (cut == full).all()
+        self._check(g, [0, 5], [0, 1], [3, 6])
+
+
 class TestPartialRowInheritance:
     """Rows a delta invalidates are dropped, then recomputed exactly."""
 

@@ -211,10 +211,12 @@ class TestCellBinnedEdges:
     def test_knife_edge_grid(self, spacing):
         # Grid neighbors sit exactly one spacing (or one diagonal) apart,
         # up to the rounding of their coordinates, many on cell
-        # boundaries; the dense reference decides every such pair.
-        pos = grid_positions(7, 9, spacing) + 0.3
-        for r in (spacing, spacing * math.sqrt(2), spacing * 2):
-            assert np.array_equal(unit_disk_edges(pos, r), _dense_edges(pos, r))
+        # boundaries; the dense reference decides every such pair.  The
+        # 1089-node grid takes the one-offset-at-a-time path.
+        for shape in ((7, 9), (33, 33)):
+            pos = grid_positions(*shape, spacing) + 0.3
+            for r in (spacing, spacing * math.sqrt(2), spacing * 2):
+                assert np.array_equal(unit_disk_edges(pos, r), _dense_edges(pos, r))
 
     def test_large_n_uses_lazy_backend_by_default(self):
         topo = random_topology(1500, degree=12.0, seed=3)

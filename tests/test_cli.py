@@ -105,7 +105,7 @@ class TestMain:
                 (595, "c1d4eadd"),
             ),
             ("chaos --seed 7 --events 100 --join-weight 0.2", (171, "588fdd1d")),
-            ("serve --n 150 --events 300 --seed 7", (1706, "2e37a8ff")),
+            ("serve --n 150 --events 300 --seed 7", (1706, "91b4d046")),
         ],
     )
     def test_command_stdout_pinned(self, capsys, argv, pin):
